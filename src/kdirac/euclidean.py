@@ -152,14 +152,6 @@ def level1_ordering(sys: EuclideanSystem) -> OrderedBasis:
     return OrderedBasis.from_rows(rows, label="paper")
 
 
-def paper_ordering(sys: EuclideanSystem, level: int) -> OrderedBasis:
-    if level == 0:
-        return level0_ordering(sys)
-    if level == 1:
-        return level1_ordering(sys)
-    raise ValueError("built-in orderings exist for levels 0 and 1 only")
-
-
 # ---------------------------------------------------------------------------
 # closed forms and component split of the quadratic slice
 # ---------------------------------------------------------------------------

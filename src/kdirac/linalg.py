@@ -12,6 +12,17 @@ reduced row-echelon form is assembled. Columns that never interact are split
 into independent blocks first, a large win on the very sparse symbol matrices
 built elsewhere in this package.
 
+Two kinds of entry point share that core:
+
+* GaussRational rows (sparse dicts of :class:`GaussRational`): ``rref_rows``,
+  ``rank_rows``, ``kernel_rows``, ``solve_rows``, the :class:`ExactMatrix`
+  operations and :class:`SubspaceBasis`. Each row is scaled to Gaussian
+  integers on entry.
+* Gaussian-integer pair rows (sparse dicts of ``(re, im)`` int pairs), for
+  assemblers that already produce integers: ``to_int_rows`` makes them from
+  GaussRational vectors, ``int_pivot_cols`` returns the column rank profile
+  by forward elimination only, and ``int_kernel_rows`` the kernel.
+
 Subspaces are stored through their canonical reduced-row-echelon bases with
 pivot columns ascending, so two equal subspaces always produce bit-identical
 bases.
@@ -241,6 +252,20 @@ def _to_int_row(vec: Mapping) -> dict:
     return out
 
 
+def to_int_rows(vectors: Sequence[Mapping]) -> list:
+    """Scale GaussRational vectors by one common denominator to Gaussian-integer
+    pairs. The scaling is uniform, so it keeps kernels and linear relations
+    between the vectors as well as their span."""
+    den = 1
+    for vec in vectors:
+        for v in vec.values():
+            den = lcm(den, v.re.denominator, v.im.denominator)
+    return [
+        {c: (int(v.re * den), int(v.im * den)) for c, v in vec.items() if v}
+        for vec in vectors
+    ]
+
+
 def _strip(row: dict) -> None:
     g = 0
     for a, b in row.values():
@@ -429,19 +454,29 @@ def rref_rows(vectors: Sequence[Mapping]):
     return _rref_int_rows([_to_int_row(v) for v in vectors])
 
 
-def rank_rows(vectors: Sequence[Mapping]) -> int:
-    """Rank of sparse GaussRational rows (forward elimination only)."""
-    int_rows = [_to_int_row(v) for v in vectors]
-    total = 0
+def int_pivot_cols(int_rows: Sequence[dict]) -> list:
+    """Column rank profile of Gaussian-integer pair rows, ascending.
+
+    Column c is listed when it is independent of the columns before it, which
+    makes these the pivot columns of the reduced row-echelon form; forward
+    elimination of each independent column block finds them without the back
+    substitution and normalisation that form needs.
+    """
+    cols = []
     for group in _components(int_rows):
         rows = {i: dict(int_rows[i]) for i in group}
-        total += len(_eliminate(rows, reduced=False))
-    return total
+        cols.extend(c for c, _ in _eliminate(rows, reduced=False))
+    cols.sort()
+    return cols
 
 
-def kernel_rows(vectors: Sequence[Mapping], ncols: int) -> "SubspaceBasis":
-    """Canonical basis of the joint kernel {x : row . x = 0 for all rows}."""
-    int_rows = [_to_int_row(v) for v in vectors]
+def rank_rows(vectors: Sequence[Mapping]) -> int:
+    """Rank of sparse GaussRational rows (forward elimination only)."""
+    return len(int_pivot_cols([_to_int_row(v) for v in vectors]))
+
+
+def int_kernel_rows(int_rows: Sequence[dict], ncols: int) -> "SubspaceBasis":
+    """Canonical basis of the joint kernel of Gaussian-integer pair rows."""
     pivot_cols, rows = _rref_int_rows(int_rows)
     if pivot_cols and pivot_cols[-1] >= ncols:
         raise ValueError("row support exceeds stated column count")
@@ -457,6 +492,11 @@ def kernel_rows(vectors: Sequence[Mapping], ncols: int) -> "SubspaceBasis":
                 vec[pc] = -val
         vecs.append(vec)
     return SubspaceBasis.from_vectors(ncols, vecs)
+
+
+def kernel_rows(vectors: Sequence[Mapping], ncols: int) -> "SubspaceBasis":
+    """Canonical basis of the joint kernel {x : row . x = 0 for all rows}."""
+    return int_kernel_rows([_to_int_row(v) for v in vectors], ncols)
 
 
 def solve_rows(rows: Sequence[Mapping], ncols: int, rhs: Sequence[Mapping]):

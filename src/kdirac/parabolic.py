@@ -266,7 +266,11 @@ def level0_prolongation_formula(n: int, k: int, s: int) -> int:
 def level1_rhs_formula(n: int, s: int) -> int:
     """k = 2 closed form s (2n-1) (4 n^2 + 2 n - 6) / 6."""
     value = s * (2 * n - 1) * (4 * n * n + 2 * n - 6)
-    assert value % 6 == 0
+    if value % 6:
+        raise InvariantViolation(
+            f"level-1 rhs numerator s (2n-1) (4n^2+2n-6) = {value} is not divisible"
+            f" by 6 (n = {n}, s = {s})"
+        )
     return value // 6
 
 

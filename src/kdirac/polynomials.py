@@ -13,7 +13,6 @@ weighted degree by a fixed amount; ``solution_space`` exploits that to reduce
 """
 
 from dataclasses import dataclass
-from math import comb
 from typing import Mapping, Sequence
 
 from .linalg import (
@@ -90,11 +89,6 @@ def monomial_basis(vars: VariableSet, weighted_degree: int):
         return [()] if weighted_degree == 0 else []
     fill(0, weighted_degree)
     return out
-
-
-def monomial_count(nvars: int, degree: int) -> int:
-    """Number of degree-d monomials in nvars weight-1 variables."""
-    return comb(nvars + degree - 1, degree)
 
 
 class SpinorPoly:
@@ -179,9 +173,6 @@ class SpinorPoly:
             if all(key[0][i] == 0 for i in kill)
         }
         return SpinorPoly(self.vars, self.spinor_dim, keep)
-
-    def degree_in(self, key_exps, var_indices) -> int:
-        return sum(key_exps[i] for i in var_indices)
 
     def __repr__(self):
         return f"SpinorPoly({len(self.coeffs)} terms, s={self.spinor_dim})"

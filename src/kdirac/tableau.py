@@ -8,13 +8,18 @@ computationally that is the kernel of one sparse constraint matrix whose rows
 are indexed by (unordered covector pair, W-coordinate).
 
 The Cartan filtration A_k intersects A with the span of the trailing vectors
-of an ordered basis of V*; because the stored bases are reduced echelon forms,
-each filtration dimension is read off the pivot distribution after one change
-of coordinates. Characters are the filtration increments and the test compares
-dim A^(1) with s_1 + 2 s_2 + ... + n s_n.
+of an ordered basis of V*. After one change of coordinates, dim A_k is dim A
+minus the rank of the leading k * dim W columns, so every filtration dimension
+is read off the column rank profile (the pivot columns) that forward
+elimination of the transformed basis gives. Characters are the filtration
+increments and the test compares dim A^(1) with s_1 + 2 s_2 + ... + n s_n.
+
+The constraint matrices of the prolongation and the transformed bases are
+assembled directly as Gaussian-integer pair rows for the elimination core.
 """
 
 import random as _random
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
 
@@ -23,10 +28,12 @@ from .linalg import (
     GaussRational,
     SubspaceBasis,
     ZERO,
+    int_kernel_rows,
+    int_pivot_cols,
     inverse,
-    kernel_rows,
+    kernel_rows,  # noqa: F401 -- bench/test_checks.py traces tableau.kernel_rows
     rank_rows,
-    rref_rows,
+    to_int_rows,
 )
 
 
@@ -117,30 +124,21 @@ class CartanReport:
 
 
 def _prolongation_rows(t: Tableau):
-    """Constraint rows for coefficients c[(slot, basis index)] of elements of
-    V* (x) A: row (i<j, w) demands the (i,j,w) and (j,i,w) tensor entries
-    agree. Columns are slot-major: col = i * dim(A) + p."""
+    """Gaussian-integer constraint rows for coefficients c[(slot, basis index)]
+    of elements of V* (x) A: row (i<j, w) demands the (i,j,w) and (j,i,w)
+    tensor entries agree. Columns are slot-major: col = i * dim(A) + p.
+
+    Each entry is plus or minus an entry of the basis scaled by one common
+    denominator, which scales every column alike and so keeps the kernel."""
     a = t.dim
     rows = {}
-    for p, vec in enumerate(t.basis.vectors):
-        for coord, val in vec.items():
+    for p, vec in enumerate(to_int_rows(t.basis.vectors)):
+        for coord, (re, im) in vec.items():
             j, w = divmod(coord, t.dim_W)
             for i in range(j):
-                row = rows.setdefault((i, j, w), {})
-                col = i * a + p
-                cur = row.get(col, ZERO) + val
-                if cur:
-                    row[col] = cur
-                elif col in row:
-                    del row[col]
+                rows.setdefault((i, j, w), {})[i * a + p] = (re, im)
             for l in range(j + 1, t.dim_V):
-                row = rows.setdefault((j, l, w), {})
-                col = l * a + p
-                cur = row.get(col, ZERO) - val
-                if cur:
-                    row[col] = cur
-                elif col in row:
-                    del row[col]
+                rows.setdefault((j, l, w), {})[l * a + p] = (-re, -im)
     return list(rows.values())
 
 
@@ -188,13 +186,13 @@ class Prolongation:
 
 def prolong(t: Tableau) -> Prolongation:
     """First prolongation of a tableau (canonical coefficient basis)."""
-    coeffs = kernel_rows(_prolongation_rows(t), t.dim_V * t.dim)
+    coeffs = int_kernel_rows(_prolongation_rows(t), t.dim_V * t.dim)
     return Prolongation(t, coeffs)
 
 
 def prolongation_dim(t: Tableau) -> int:
     """dim A^(1) without materialising a basis (rank computation only)."""
-    return t.dim_V * t.dim - rank_rows(_prolongation_rows(t))
+    return t.dim_V * t.dim - len(int_pivot_cols(_prolongation_rows(t)))
 
 
 def h02_dim(t: Tableau) -> int:
@@ -204,7 +202,7 @@ def h02_dim(t: Tableau) -> int:
     prolongation constraints, so one rank computation serves both.
     """
     total = comb(t.dim_V, 2) * t.dim_W
-    return total - rank_rows(_prolongation_rows(t))
+    return total - len(int_pivot_cols(_prolongation_rows(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,22 +211,32 @@ def h02_dim(t: Tableau) -> int:
 
 
 def _transformed_rows(t: Tableau, ob: OrderedBasis):
-    """Tableau basis re-expressed in the ordered-basis coordinates."""
+    """Tableau basis re-expressed in the ordered-basis coordinates, as
+    Gaussian-integer pair rows.
+
+    The inverse change of basis is scaled by one common denominator, never row
+    by row: its rows are combined into each output row (the paper level-1
+    ordering has entries 1/2 in its inverse)."""
     if ob.change.rows != t.dim_V:
         raise ValueError("ordering size must match dim V*")
-    inv = ob.inverse_rows()
+    inv = to_int_rows(ob.inverse_rows())
     out = []
-    for vec in t.basis.vectors:
+    for vec in to_int_rows(t.basis.vectors):
         x = {}
-        for coord, val in vec.items():
+        for coord, (a, b) in vec.items():
             j, w = divmod(coord, t.dim_W)
-            for i, q in inv[j].items():
+            for i, (qa, qb) in inv[j].items():
                 key = i * t.dim_W + w
-                cur = x.get(key, ZERO) + q * val
-                if cur:
-                    x[key] = cur
-                elif key in x:
-                    del x[key]
+                re = qa * a - qb * b
+                im = qa * b + qb * a
+                cur = x.get(key)
+                if cur is not None:
+                    re += cur[0]
+                    im += cur[1]
+                    if not (re or im):
+                        del x[key]
+                        continue
+                x[key] = (re, im)
         out.append(x)
     return out
 
@@ -236,14 +244,14 @@ def _transformed_rows(t: Tableau, ob: OrderedBasis):
 def filtration_dims(t: Tableau, ob: OrderedBasis) -> list:
     """dim A_k for k = 1..dim_V, where A_k keeps only the trailing covectors.
 
-    With the basis in reduced echelon form, dim A_k counts the pivots lying in
-    the trailing coordinate block.
+    dim A_k = dim A - rank of the leading k * dim_W columns of the transformed
+    basis, which is the number of its pivot columns (the column rank profile,
+    from forward elimination) lying in the trailing coordinate block.
     """
-    pivots, _ = rref_rows(_transformed_rows(t, ob))
-    dims = []
-    for k in range(1, t.dim_V + 1):
-        cutoff = k * t.dim_W
-        dims.append(sum(1 for p in pivots if p >= cutoff))
+    pivots = int_pivot_cols(_transformed_rows(t, ob))
+    dims = [
+        len(pivots) - bisect_left(pivots, k * t.dim_W) for k in range(1, t.dim_V + 1)
+    ]
     if dims and dims[-1] != 0:
         raise InvariantViolation("A_n must vanish")
     return dims

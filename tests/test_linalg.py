@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from kdirac.linalg import (
     ONE,
     SubspaceBasis,
     coordinate_subspace,
+    int_pivot_cols,
     intersect,
     inverse,
     kernel,
@@ -21,8 +23,10 @@ from kdirac.linalg import (
     matrix_rank,
     rank_rows,
     rref,
+    rref_rows,
     solve_rows,
     subspace_sum,
+    to_int_rows,
 )
 
 GR = GaussRational
@@ -115,8 +119,45 @@ class TestRref:
                 for _ in range(rng.randint(1, 6))
             ]
             rows = [{c: v for c, v in row.items() if v} for row in rows]
-            piv, _ = __import__("kdirac.linalg", fromlist=["rref_rows"]).rref_rows(rows)
+            piv, _ = rref_rows(rows)
             assert len(piv) == rank_rows(rows)
+
+
+def small_scalars():
+    small = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 1, 2, 3]))
+    return st.builds(GR, small, small)
+
+
+def sparse_rows(ncols=7):
+    row = st.dictionaries(st.integers(0, ncols - 1), small_scalars(), max_size=4)
+    return st.lists(row, max_size=7).map(
+        lambda rows: [{c: v for c, v in r.items() if v} for r in rows]
+    )
+
+
+def to_sympy(v):
+    return sympy.Rational(v.re.numerator, v.re.denominator) + sympy.I * sympy.Rational(
+        v.im.numerator, v.im.denominator
+    )
+
+
+class TestPivotColumns:
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_rows())
+    def test_forward_pivots_match_rref_and_sympy(self, rows):
+        pivots = int_pivot_cols(to_int_rows(rows))
+        assert pivots == rref_rows(rows)[0]
+        dense = sympy.Matrix(
+            len(rows), 7, lambda r, c: to_sympy(rows[r].get(c, GR(0)))
+        )
+        assert pivots == list(dense.rref()[1])
+        assert len(pivots) == rank_rows(rows)
+
+    def test_to_int_rows_uses_one_common_denominator(self):
+        # the second vector has no denominator of its own; it is doubled too
+        half = GR(Fraction(1, 2))
+        vecs = [{0: half, 1: ONE}, {0: ONE, 1: GR(3)}]
+        assert to_int_rows(vecs) == [{0: (1, 0), 1: (2, 0)}, {0: (2, 0), 1: (6, 0)}]
 
 
 class TestKernel:

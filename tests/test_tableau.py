@@ -1,8 +1,12 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
+from sympy import QQ, QQ_I
+from sympy.polys.matrices import DomainMatrix
 
+from kdirac.euclidean import build_euclidean, level1_ordering
 from kdirac.linalg import GaussRational, SubspaceBasis, rank_rows
 from kdirac.tableau import (
     CartanReport,
@@ -87,11 +91,63 @@ class TestFiltration:
         assert dims[-1] == 0
         assert all(a >= b for a, b in zip(dims, dims[1:]))
 
+    def test_inverse_rows_with_different_denominators(self):
+        # u1 = e1, u2 = e1 + 2 e2: e1 + e2 = u1/2 + u2/2 is not in span(u2),
+        # so A_1 = 0; scaling only the 1/2 row of the inverse would give 1
+        t = Tableau(2, 1, SubspaceBasis.from_vectors(2, [[1, 1]]))
+        ob = OrderedBasis.from_rows([[1, 0], [1, 2]], "skew")
+        assert filtration_dims(t, ob) == [0, 0] == sympy_filtration_dims(t, ob)
+
     def test_singular_ordering_rejected(self):
         t = Tableau.full(2, 1)
         bad = OrderedBasis.from_rows([[1, 1], [2, 2]], "bad")
         with pytest.raises(ValueError):
             filtration_dims(t, bad)
+
+
+def gaussian(v):
+    return QQ_I(QQ(v.re.numerator, v.re.denominator), QQ(v.im.numerator, v.im.denominator))
+
+
+def sympy_filtration_dims(t, ob):
+    """dim A_k = dim A - rank of the leading k * dim_W columns, with sympy
+    (exact matrices over Q(i)) inverting the change of basis and transforming
+    the basis."""
+    n, w = t.dim_V, t.dim_W
+    change = [[gaussian(ob.change.entry(i, j)) for j in range(n)] for i in range(n)]
+    inv_t = DomainMatrix(change, (n, n), QQ_I).inv().transpose()
+    rows = []
+    for vec in t.basis.vectors:
+        m = [[gaussian(vec.get(j * w + c, GR(0))) for c in range(w)] for j in range(n)]
+        transformed = (inv_t * DomainMatrix(m, (n, w), QQ_I)).to_list()
+        rows.append([x for row in transformed for x in row])
+    basis = DomainMatrix(rows, (len(rows), n * w), QQ_I)
+    return [t.dim - basis[:, : k * w].rank() for k in range(1, n + 1)]
+
+
+@pytest.fixture(scope="module")
+def e32_levels():
+    t0 = build_euclidean(3, 2).tableau()
+    return {0: t0, 1: prolong(t0).lifted}
+
+
+class TestFiltrationOracle:
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_flags_match_sympy(self, e32_levels, level, seed):
+        t = e32_levels[level]
+        ob = search_ordering(t, "random", seed)
+        assert filtration_dims(t, ob) == sympy_filtration_dims(t, ob)
+
+    def test_paper_level1_ordering_with_halves(self, e32_levels):
+        ob = level1_ordering(build_euclidean(3, 2))
+        halves = [v for row in ob.inverse_rows() for v in row.values()]
+        assert GR(Fraction(1, 2)) in halves
+        t = e32_levels[1]
+        dims = filtration_dims(t, ob)
+        assert dims == sympy_filtration_dims(t, ob)
+        characters = [a - b for a, b in zip([t.dim] + dims, dims)]
+        assert characters == [8, 6, 4, 0, 0, 0]
 
 
 class TestCartanTest:
