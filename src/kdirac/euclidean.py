@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import comb
 
 from .clifford import CliffordRep, build_spinor_rep
-from .linalg import GaussRational, SubspaceBasis, ZERO, rank_rows, solve_rows
+from .linalg import GaussRational, SubspaceBasis, ZERO, rank_rows
 from .polynomials import (
     DiffOp,
     SpinorPoly,
@@ -25,8 +25,10 @@ from .polynomials import (
     apply_op,
     basis_polynomials,
     monomial_basis,
+    scalar_multiply,
     solution_dim,
     solution_space,
+    solve_correction,
 )
 from .tableau import InvariantViolation, OrderedBasis, Tableau
 
@@ -314,8 +316,6 @@ def extend_from_initial_data(
         raise ValueError("initial data degrees must be r and r-1")
 
     lift = {tuple(1 if i == 2 * n - 3 else 0 for i in range(2 * n)): GaussRational(1)}
-    from .polynomials import scalar_multiply
-
     base = g1 + scalar_multiply(lift, g2)
     ops = chart_ops(sys)
 
@@ -324,44 +324,12 @@ def extend_from_initial_data(
         return tdeg == 0 or (tdeg == 1 and e[2 * n - 3] == 1)
 
     unknown = [e for e in monomial_basis(vars, r) if not is_data_monomial(e)]
-    col_of = {e: idx for idx, e in enumerate(unknown)}
-    ncols = len(unknown) * s
-
-    row_of = {}
-    rows = []
-    rhs = {}
-
-    def row_id(slot, exps, nu):
-        key = (slot, exps, nu)
-        idx = row_of.get(key)
-        if idx is None:
-            idx = len(rows)
-            row_of[key] = idx
-            rows.append({})
-        return idx
-
-    for slot, op in enumerate(ops):
-        for exps in unknown:
-            m_idx = col_of[exps]
-            for mu in range(s):
-                unit = SpinorPoly.monomial(vars, s, exps, mu)
-                image = apply_op(op, unit)
-                for (t_exps, nu), val in image.coeffs.items():
-                    rows[row_id(slot, t_exps, nu)][m_idx * s + mu] = val
-        image = apply_op(op, base)
-        for (t_exps, nu), val in image.coeffs.items():
-            rhs[row_id(slot, t_exps, nu)] = -val
-
-    solutions, rank = solve_rows(rows, ncols, [rhs])
-    if solutions[0] is None:
+    g, rank = solve_correction(ops, base, unknown)
+    if g is None:
         raise InvariantViolation("initial data admits no monogenic extension")
-    if rank != ncols:
+    if rank != len(unknown) * s:
         raise InvariantViolation("monogenic extension is not unique")
-    g_coeffs = {}
-    for col, val in solutions[0].items():
-        m_idx, mu = divmod(col, s)
-        g_coeffs[(unknown[m_idx], mu)] = val
-    result = base + SpinorPoly(vars, s, g_coeffs)
+    result = base + g
     for op in ops:
         if not apply_op(op, result).is_zero():
             raise InvariantViolation("extension fails to be monogenic")

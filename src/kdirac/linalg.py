@@ -15,9 +15,9 @@ built elsewhere in this package.
 Two kinds of entry point share that core:
 
 * GaussRational rows (sparse dicts of :class:`GaussRational`): ``rref_rows``,
-  ``rank_rows``, ``kernel_rows``, ``solve_rows``, the :class:`ExactMatrix`
-  operations and :class:`SubspaceBasis`. Each row is scaled to Gaussian
-  integers on entry.
+  ``rank_rows``, ``kernel_rows`` and ``solve_rows``, plus ``inverse`` of an
+  :class:`ExactMatrix` and the canonical bases of :class:`SubspaceBasis`. Each
+  row is scaled to Gaussian integers on entry.
 * Gaussian-integer pair rows (sparse dicts of ``(re, im)`` int pairs), for
   assemblers that already produce integers: ``to_int_rows`` makes them from
   GaussRational vectors, ``int_pivot_cols`` returns the column rank profile
@@ -542,29 +542,6 @@ def solve_rows(rows: Sequence[Mapping], ncols: int, rhs: Sequence[Mapping]):
 # ---------------------------------------------------------------------------
 
 
-def rref(m: ExactMatrix):
-    """Unique reduced row-echelon form.
-
-    Returns (rank, reduced, pivot_cols); the reduced matrix keeps the shape of
-    the input with zero rows at the bottom.
-    """
-    pivot_cols, rows = rref_rows(m.row_dicts())
-    entries = {}
-    for r, vec in enumerate(rows):
-        for c, v in vec.items():
-            entries[(r, c)] = v
-    return len(pivot_cols), ExactMatrix(m.rows, m.cols, entries), pivot_cols
-
-
-def matrix_rank(m: ExactMatrix) -> int:
-    return rank_rows(m.row_dicts())
-
-
-def kernel(m: ExactMatrix) -> "SubspaceBasis":
-    """Canonical basis of {v : m v = 0}; dimension is cols - rank."""
-    return kernel_rows(m.row_dicts(), m.cols)
-
-
 def inverse(m: ExactMatrix) -> ExactMatrix:
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
@@ -647,43 +624,3 @@ class SubspaceBasis:
 
     def __repr__(self):
         return f"SubspaceBasis(dim {self.dim} in ambient {self.ambient_dim})"
-
-
-def intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    """Canonical basis of the intersection of two subspaces."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    da = a.dim
-    # x in both spaces: x = sum l_p a_p = sum m_q b_q; solve for (l, m).
-    rows = {}
-    for p, vec in enumerate(a.vectors):
-        for coord, val in vec.items():
-            rows.setdefault(coord, {})[p] = val
-    for q, vec in enumerate(b.vectors):
-        for coord, val in vec.items():
-            rows.setdefault(coord, {})[da + q] = -val
-    coeffs = kernel_rows(list(rows.values()), da + b.dim)
-    vecs = []
-    for w in coeffs.vectors:
-        x = {}
-        for p, lam in w.items():
-            if p >= da:
-                continue
-            for coord, val in a.vectors[p].items():
-                cur = x.get(coord, ZERO) + lam * val
-                if cur:
-                    x[coord] = cur
-                elif coord in x:
-                    del x[coord]
-        vecs.append(x)
-    return SubspaceBasis.from_vectors(a.ambient_dim, vecs)
-
-
-def subspace_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    return SubspaceBasis.from_vectors(a.ambient_dim, list(a.vectors) + list(b.vectors))
-
-
-def coordinate_subspace(ambient_dim: int, cols: Iterable[int]) -> SubspaceBasis:
-    return SubspaceBasis.from_vectors(ambient_dim, [{c: ONE} for c in sorted(set(cols))])

@@ -19,25 +19,25 @@ from math import comb
 
 from .clifford import CliffordRep, build_spinor_rep
 from .euclidean import EuclideanSystem, HALF, level1_ordering
-from .linalg import GaussRational, SubspaceBasis, ZERO, kernel_rows, rank_rows, solve_rows
+from .linalg import GaussRational, SubspaceBasis, ZERO, kernel_rows, rank_rows
 from .polynomials import (
     DiffOp,
     SpinorPoly,
     VariableSet,
     apply_op,
-    basis_polynomials,
     identity_matrix,
     monomial_basis,
     scalar_multiply,
     solution_space,
+    solve_correction,
 )
 from .tableau import (
     InvariantViolation,
     OrderedBasis,
     Tableau,
     cartan_test,
+    expand_coefficients,
     prolong,
-    prolongation_dim,
     search_ordering,
 )
 
@@ -56,7 +56,7 @@ class ParabolicSystem:
         self.vars = VariableSet.of(names, weights)
         ident = identity_matrix(s)
         self.lfields = [
-            self._field_terms(a, i, ident)
+            DiffOp(self.vars, s, self._field_terms(a, i, ident))
             for a in range(1, n + 1)
             for i in range(1, k + 1)
         ]
@@ -90,36 +90,27 @@ class ParabolicSystem:
     def _zero_exp(self):
         return (0,) * len(self.vars)
 
-    def _correction_terms(self, alpha: int, i: int):
-        """Terms of -1/2 sum_j x_{alpha j} d_{i j} with the sign of the skew
-        derivative resolved onto the stored coordinates y_{r t}, r < t."""
-        out = []
+    def _field_terms(self, alpha: int, i: int, matrix):
+        """Terms of L_{alpha i} followed by ``matrix``: d/dx_{alpha i} and
+        -1/2 sum_j x_{alpha j} d_{i j}, with the sign of the skew derivative
+        resolved onto the stored coordinates y_{r t}, r < t."""
+        terms = [({self._zero_exp(): GaussRational(1)}, self.x_index(alpha, i), matrix)]
         for j in range(1, self.k + 1):
             if j == i:
                 continue
             exp = list(self._zero_exp())
             exp[self.x_index(alpha, j)] = 1
             if i < j:
-                out.append(({tuple(exp): -HALF}, self.y_index(i, j)))
+                terms.append(({tuple(exp): -HALF}, self.y_index(i, j), matrix))
             else:
-                out.append(({tuple(exp): HALF}, self.y_index(j, i)))
-        return out
-
-    def _field_terms(self, alpha, i, matrix):
-        one = {self._zero_exp(): GaussRational(1)}
-        terms = [(one, self.x_index(alpha, i), matrix)]
-        terms += [(coeff, var, matrix) for coeff, var in self._correction_terms(alpha, i)]
-        return DiffOp(self.vars, self.s, terms)
+                terms.append(({tuple(exp): HALF}, self.y_index(j, i), matrix))
+        return terms
 
     def _slot_op(self, i):
-        one = {self._zero_exp(): GaussRational(1)}
+        """The slot operator sum_alpha gamma_alpha L_{alpha i}."""
         terms = []
         for alpha in range(1, self.n + 1):
-            gamma = self.rep.gamma[alpha - 1]
-            terms.append((one, self.x_index(alpha, i), gamma))
-            terms += [
-                (coeff, var, gamma) for coeff, var in self._correction_terms(alpha, i)
-            ]
+            terms += self._field_terms(alpha, i, self.rep.gamma[alpha - 1])
         return DiffOp(self.vars, self.s, terms)
 
     def lfield(self, alpha: int, i: int) -> DiffOp:
@@ -135,7 +126,7 @@ class ParabolicSystem:
 
     def euclidean(self) -> EuclideanSystem:
         if self._euclidean is None:
-            self._euclidean = EuclideanSystem(build_spinor_rep(self.n, self.k))
+            self._euclidean = EuclideanSystem(self.rep)
         return self._euclidean
 
     def embed_euclidean_poly(self, psi: SpinorPoly) -> SpinorPoly:
@@ -324,27 +315,9 @@ def parabolic_second_decomposition(sys: ParabolicSystem):
     p2 = prolong(p1.lifted)
     nk = sys.n * sys.k
     dim_V, s = sys.dim_V, sys.s
-    a0 = t0.dim
-    a1 = p1.dim
-    base0 = t0.basis.vectors
-    base1 = p1.lifted.basis.vectors
-    expanded = []
-    for c in p2.lifted.basis.vectors:
-        x = {}
-        for col, lam in c.items():
-            iV, b = divmod(col, a1)
-            for col1, v1 in base1[b].items():
-                jV, a = divmod(col1, a0)
-                lv = lam * v1
-                for col0, v0 in base0[a].items():
-                    kV, w = divmod(col0, s)
-                    key = ((iV * dim_V + jV) * dim_V + kV) * s + w
-                    cur = x.get(key, ZERO) + lv * v0
-                    if cur:
-                        x[key] = cur
-                    elif key in x:
-                        del x[key]
-        expanded.append(x)
+    expanded = expand_coefficients(
+        expand_coefficients(p2.lifted.basis.vectors, p1.lifted), t0
+    )
 
     def grade(coord):
         triplet, _w = divmod(coord, s)
@@ -419,48 +392,14 @@ def lift_check(sys: ParabolicSystem, psi: SpinorPoly, g) -> SpinorPoly:
     base = scalar_multiply(g, psi)
     if l == 0:
         return base
-    target = r + 2 * l
-    s = sys.s
     nk = sys.n * sys.k
     unknown = [
-        e for e in monomial_basis(sys.vars, target) if sum(e[nk:]) < l
+        e for e in monomial_basis(sys.vars, r + 2 * l) if sum(e[nk:]) < l
     ]
-    col_of = {e: idx for idx, e in enumerate(unknown)}
-    ncols = len(unknown) * s
-
-    row_of = {}
-    rows = []
-    rhs = {}
-
-    def row_id(slot, exps, nu):
-        key = (slot, exps, nu)
-        idx = row_of.get(key)
-        if idx is None:
-            idx = len(rows)
-            row_of[key] = idx
-            rows.append({})
-        return idx
-
-    for slot, op in enumerate(sys.ops):
-        for exps in unknown:
-            m_idx = col_of[exps]
-            for mu in range(s):
-                unit = SpinorPoly.monomial(sys.vars, s, exps, mu)
-                image = apply_op(op, unit)
-                for (t_exps, nu), val in image.coeffs.items():
-                    rows[row_id(slot, t_exps, nu)][m_idx * s + mu] = val
-        image = apply_op(op, base)
-        for (t_exps, nu), val in image.coeffs.items():
-            rhs[row_id(slot, t_exps, nu)] = -val
-
-    solutions, _rank = solve_rows(rows, ncols, [rhs])
-    if solutions[0] is None:
+    h, _rank = solve_correction(sys.ops, base, unknown)
+    if h is None:
         raise InvariantViolation("no lift with the required leading term exists")
-    h_coeffs = {}
-    for col, val in solutions[0].items():
-        m_idx, mu = divmod(col, s)
-        h_coeffs[(unknown[m_idx], mu)] = val
-    result = base + SpinorPoly(sys.vars, s, h_coeffs)
+    result = base + h
     for op in sys.ops:
         if not apply_op(op, result).is_zero():
             raise InvariantViolation("computed lift is not monogenic")

@@ -22,6 +22,7 @@ from .linalg import (
     ZERO,
     kernel_rows,
     rank_rows,
+    solve_rows,
 )
 
 Exponents = tuple
@@ -285,13 +286,18 @@ def apply_op(op: DiffOp, p: SpinorPoly) -> SpinorPoly:
 
 
 def _constraint_rows(
-    ops: Sequence[DiffOp], vars: VariableSet, spinor_dim: int, weighted_degree: int
+    ops: Sequence[DiffOp],
+    vars: VariableSet,
+    spinor_dim: int,
+    weighted_degree: int,
+    monos=None,
 ):
     """Stacked coefficient matrix of the ops on the weighted-degree slice.
 
     Rows are indexed by (operator slot, target monomial, spinor component),
-    columns by (source monomial, spinor component); both monomial enumerations
-    follow ``monomial_basis``. Returns (rows, ncols).
+    columns by (source monomial, spinor component) with the spinor index
+    minor. The source monomials are ``monos`` in the given order, by default
+    the whole ``monomial_basis`` of the degree. Returns (rows, ncols).
     """
     shifts = []
     for op in ops:
@@ -299,7 +305,8 @@ def _constraint_rows(
         if shift >= 0:
             raise ValueError("operators must lower the weighted degree")
         shifts.append(shift)
-    monos = monomial_basis(vars, weighted_degree)
+    if monos is None:
+        monos = monomial_basis(vars, weighted_degree)
     ncols = len(monos) * spinor_dim
     rows = {}
     for slot, (op, shift) in enumerate(zip(ops, shifts)):
@@ -352,17 +359,56 @@ def solution_dim(
     return ncols - rank_rows(rows)
 
 
+def solve_correction(ops: Sequence[DiffOp], base: SpinorPoly, unknown: Sequence):
+    """Complete a known homogeneous part to a joint solution of the ops.
+
+    Finds ``h`` supported on the ``unknown`` monomials (exponent tuples of the
+    weighted degree of ``base``) with op(base + h) = 0 for every op. One
+    coefficient matrix over the columns ``unknown`` followed by the monomials
+    of ``base`` is built; the unknown block is the system and the base block,
+    applied to the coefficients of ``base``, the right-hand side.
+
+    Returns (h, rank): h is a particular solution (free coordinates zero) or
+    None when none exists, and rank is that of the unknown block, so the
+    solution is unique exactly when rank == len(unknown) * spinor_dim.
+    """
+    vars, s = base.vars, base.spinor_dim
+    monos = list(unknown) + sorted({e for e, _ in base.coeffs})
+    degrees = {vars.weighted_degree(e) for e in monos}
+    if len(degrees) != 1:
+        raise ValueError("unknown and base monomials must share one weighted degree")
+    rows, _ = _constraint_rows(ops, vars, s, degrees.pop(), monos)
+    col_of = {e: idx for idx, e in enumerate(monos)}
+    known = {col_of[e] * s + mu: v for (e, mu), v in base.coeffs.items()}
+    ncols = len(unknown) * s
+    system, rhs = [], {}
+    for row in rows:
+        b = ZERO
+        for col, v in row.items():
+            if col in known:
+                b = b - v * known[col]
+        if b:
+            rhs[len(system)] = b
+        system.append({c: v for c, v in row.items() if c < ncols})
+    solutions, rank = solve_rows(system, ncols, [rhs])
+    if solutions[0] is None:
+        return None, rank
+    return _as_poly(vars, s, monos, solutions[0]), rank
+
+
+def _as_poly(vars: VariableSet, spinor_dim: int, monos, vec) -> SpinorPoly:
+    """The polynomial with coordinate vector ``vec`` over (monos, spinor)."""
+    coeffs = {}
+    for col, v in vec.items():
+        m_idx, mu = divmod(col, spinor_dim)
+        coeffs[(monos[m_idx], mu)] = v
+    return SpinorPoly(vars, spinor_dim, coeffs)
+
+
 def basis_polynomials(vars: VariableSet, spinor_dim: int, weighted_degree: int, basis):
     """Reconstruct SpinorPoly objects from solution-space coordinate vectors."""
     monos = monomial_basis(vars, weighted_degree)
-    out = []
-    for vec in basis.vectors:
-        coeffs = {}
-        for col, v in vec.items():
-            m_idx, mu = divmod(col, spinor_dim)
-            coeffs[(monos[m_idx], mu)] = v
-        out.append(SpinorPoly(vars, spinor_dim, coeffs))
-    return out
+    return [_as_poly(vars, spinor_dim, monos, vec) for vec in basis.vectors]
 
 
 def identity_matrix(spinor_dim: int) -> ExactMatrix:

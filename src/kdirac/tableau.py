@@ -163,25 +163,38 @@ class Prolongation:
     def raw(self) -> SubspaceBasis:
         if self._raw is None:
             src = self.source
-            a = src.dim
-            ambient = src.dim_V * src.dim_V * src.dim_W
-            vecs = []
-            for c in self.lifted.basis.vectors:
-                x = {}
-                for col, lam in c.items():
-                    i, p = divmod(col, a)
-                    base = i * src.dim_V
-                    for coord, val in src.basis.vectors[p].items():
-                        j, w = divmod(coord, src.dim_W)
-                        key = (base + j) * src.dim_W + w
-                        cur = x.get(key, ZERO) + lam * val
-                        if cur:
-                            x[key] = cur
-                        elif key in x:
-                            del x[key]
-                vecs.append(x)
+            ambient = src.dim_V * src.basis.ambient_dim
+            vecs = expand_coefficients(self.lifted.basis.vectors, src)
             self._raw = SubspaceBasis.from_vectors(ambient, vecs)
         return self._raw
+
+
+def expand_coefficients(vectors, t: Tableau) -> list:
+    """Substitute the basis of ``t`` into coefficient vectors over V* (x) A.
+
+    Input columns are slot-major, col = i * dim A + p; the output coordinate
+    is i * N + c for the coordinate c of the ambient space (of dimension N)
+    of A. The slot index i is not bounded, so a vector over V* (x) V* (x) A
+    (slot pair (i, j) as i * dim V + j) expands alike.
+    """
+    a = t.dim
+    ambient = t.basis.ambient_dim
+    basis = t.basis.vectors
+    out = []
+    for c in vectors:
+        x = {}
+        for col, lam in c.items():
+            i, p = divmod(col, a)
+            offset = i * ambient
+            for coord, val in basis[p].items():
+                key = offset + coord
+                cur = x.get(key, ZERO) + lam * val
+                if cur:
+                    x[key] = cur
+                elif key in x:
+                    del x[key]
+        out.append(x)
+    return out
 
 
 def prolong(t: Tableau) -> Prolongation:

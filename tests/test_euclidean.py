@@ -14,7 +14,13 @@ from kdirac.euclidean import (
     restriction_commutator_check,
 )
 from kdirac.linalg import GaussRational
-from kdirac.polynomials import SpinorPoly, apply_op, basis_polynomials, solution_space
+from kdirac.polynomials import (
+    SpinorPoly,
+    apply_op,
+    basis_polynomials,
+    scalar_multiply,
+    solution_space,
+)
 from kdirac.tableau import cartan_test, prolong, search_ordering
 
 GR = GaussRational
@@ -185,6 +191,27 @@ class TestExtension:
                 psi = extend_from_initial_data(sys32, zero, g2)
                 count += 1
         assert count == initial_dim_formula(3, 2)
+
+
+    def test_e42_restricts_to_its_data(self, sys42):
+        # chart t_1..t_8 (0-based 0..7): data in t_1..t_5, t_6 carries g2
+        vars = chart_vars(4)
+        s = sys42.s
+        zero = SpinorPoly.zero(vars, s)
+        g1 = SpinorPoly(vars, s, {((1, 0, 1, 0, 0, 0, 0, 0), 1): GR(1),
+                                  ((0, 0, 0, 0, 2, 0, 0, 0), 3): GR(2, -1)})
+        g2 = SpinorPoly(vars, s, {((0, 1, 0, 0, 0, 0, 0, 0), 0): GR(0, 1),
+                                  ((0, 0, 0, 1, 0, 0, 0, 0), 2): GR(-3)})
+        t6 = {(0, 0, 0, 0, 0, 1, 0, 0): GR(1)}
+        for a, b in ((g1, zero), (zero, g2), (g1, g2)):
+            psi = extend_from_initial_data(sys42, a, b)
+            assert psi.weighted_degrees() == {2}
+            data = {
+                key: v
+                for key, v in psi.coeffs.items()
+                if key[0][5:] in ((0, 0, 0), (1, 0, 0))
+            }
+            assert SpinorPoly(vars, s, data) == a + scalar_multiply(t6, b)
 
 
 class TestRestriction:

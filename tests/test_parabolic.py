@@ -20,7 +20,7 @@ from kdirac.parabolic import (
     y_free_dim,
     y_monomial,
 )
-from kdirac.polynomials import SpinorPoly, apply_op, monomial_basis
+from kdirac.polynomials import SpinorPoly, apply_op, monomial_basis, scalar_multiply
 from kdirac.tableau import InvariantViolation, prolong
 
 GR = GaussRational
@@ -163,6 +163,14 @@ class TestLift:
             assert lifted.weighted_degrees() == {3}
             for op in psys32.ops:
                 assert apply_op(op, lifted).is_zero()
+
+    def test_linear_seeds_by_y_squared(self, psys32):
+        g = y_monomial(psys32, 1, 2, 2)
+        for psi in psys32.euclidean_monogenic_embedded(1):
+            lifted = lift_check(psys32, psi, g)
+            assert lifted.weighted_degrees() == {5}
+            top = {key: v for key, v in lifted.coeffs.items() if sum(key[0][6:]) == 2}
+            assert SpinorPoly(psys32.vars, psys32.s, top) == scalar_multiply(g, psi)
 
     def test_rejects_non_monogenic_seed(self, psys32):
         bad = SpinorPoly.monomial(psys32.vars, psys32.s, (1, 0, 0, 0, 0, 0, 0), 0)

@@ -13,6 +13,7 @@ from kdirac.polynomials import (
     basis_polynomials,
     monomial_basis,
     solution_space,
+    solve_correction,
 )
 
 GR = GaussRational
@@ -174,6 +175,39 @@ class TestSolutionSpace:
         raising = DiffOp(vs, 1, [({(0, 1): GR(1)}, 0, ident)])
         with pytest.raises(ValueError):
             solution_space([raising], vs, 1, 2)
+
+
+class TestSolveCorrection:
+    """Complete x^2 to a solution of one first-order operator in x, y."""
+
+    vs = VariableSet.of(["x", "y"])
+
+    def op(self, cy):
+        # d/dx + cy d/dy on scalar polynomials
+        one, ident = {(0, 0): GR(1)}, ExactMatrix.identity(1)
+        return DiffOp(self.vs, 1, [(one, 0, ident), ({(0, 0): GR(cy)}, 1, ident)])
+
+    def test_inconsistent_system(self):
+        base = SpinorPoly.monomial(self.vs, 1, (2, 0), 0)
+        # d/dx (x^2 + b y^2) = 2x for every b
+        h, rank = solve_correction([self.op(0)], base, [(0, 2)])
+        assert h is None and rank == 0
+
+    def test_unique_correction_on_unknown_monomials(self):
+        base = SpinorPoly.monomial(self.vs, 1, (2, 0), 0)
+        unknown = [(1, 1), (0, 2)]
+        op = self.op(-1)
+        h, rank = solve_correction([op], base, unknown)
+        assert rank == 2
+        # (d/dx - d/dy) (x + y)^2 = 0
+        assert h.coeffs == {((1, 1), 0): GR(2), ((0, 2), 0): GR(1)}
+        assert {exps for exps, _ in h.coeffs} <= set(unknown)
+        assert apply_op(op, base + h).is_zero()
+
+    def test_mixed_degrees_rejected(self):
+        base = SpinorPoly.monomial(self.vs, 1, (2, 0), 0)
+        with pytest.raises(ValueError):
+            solve_correction([self.op(1)], base, [(0, 1)])
 
 
 def test_spinor_poly_substitution():
