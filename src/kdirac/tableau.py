@@ -15,7 +15,8 @@ elimination of the transformed basis gives. Characters are the filtration
 increments and the test compares dim A^(1) with s_1 + 2 s_2 + ... + n s_n.
 
 The constraint matrices of the prolongation and the transformed bases are
-assembled directly as Gaussian-integer pair rows for the elimination core.
+assembled directly as Gaussian-integer pair rows for the elimination core;
+the ordering search scores its candidate covectors on the same rows.
 """
 
 import random as _random
@@ -28,11 +29,11 @@ from .linalg import (
     GaussRational,
     SubspaceBasis,
     ZERO,
+    _axpy,
     int_kernel_rows,
     int_pivot_cols,
     inverse,
     kernel_rows,  # noqa: F401 -- bench/test_checks.py traces tableau.kernel_rows
-    rank_rows,
     to_int_rows,
 )
 
@@ -308,28 +309,20 @@ def cartan_test(t: Tableau, ob: OrderedBasis = None, dim_prolongation_hint=None)
 # ---------------------------------------------------------------------------
 
 
-def _reduce_vector(vec: dict, *pivot_maps):
-    """Reduce a vector against reduced rows keyed by pivot column. Returns the
-    normalised remainder (pivot value 1) and its pivot, or (None, None)."""
-    vec = dict(vec)
+def _reduce_lead(vec: dict, *pivot_maps):
+    """Forward-reduce a Gaussian-integer row in place against rows keyed by
+    their leading column. Returns the remainder's leading column, or None when
+    the row reduces to zero."""
     while vec:
         lead = min(vec)
-        row = None
         for pm in pivot_maps:
             row = pm.get(lead)
             if row is not None:
+                _axpy(vec, row, row[lead], vec[lead])
                 break
-        if row is None:
-            coeff = vec[lead]
-            return {c: v / coeff for c, v in vec.items()}, lead
-        coeff = vec[lead]
-        for c, v in row.items():
-            cur = vec.get(c, ZERO) - coeff * v
-            if cur:
-                vec[c] = cur
-            elif c in vec:
-                del vec[c]
-    return None, None
+        else:
+            return lead
+    return None
 
 
 def _greedy_ordering(t: Tableau) -> OrderedBasis:
@@ -340,34 +333,38 @@ def _greedy_ordering(t: Tableau) -> OrderedBasis:
     new rank on top of the tableau, which minimises the next trailing
     filtration dimension; ties go to the earliest candidate. The ordering is
     fully determined by the tableau, hence reproducible.
+
+    The search runs on Gaussian-integer pair rows: every W-block, and each
+    candidate against the covectors already chosen, is forward-reduced by
+    leading column with fraction-free, content-stripped updates. Ranks do
+    not depend on row scaling, so every count, and with it the flag, is
+    exactly what reduction over Q(i) gives.
     """
     n, w = t.dim_V, t.dim_W
-    one = GaussRational(1)
-    candidates = [{i: one} for i in range(n)]
+    candidates = [{i: (1, 0)} for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            candidates.append({i: one, j: one})
-            candidates.append({i: one, j: GaussRational(-1)})
-    state = dict(zip(t.basis.pivots, t.basis.vectors))
+            candidates.append({i: (1, 0), j: (1, 0)})
+            candidates.append({i: (1, 0), j: (-1, 0)})
+    state = dict(zip(t.basis.pivots, to_int_rows(t.basis.vectors)))
     vstate = {}
     chosen_back = []
     for _ in range(n):
         best, best_count, best_rows, best_vrow = None, -1, None, None
         for cand in candidates:
-            vred, vlead = _reduce_vector(cand, vstate)
-            if vred is None:
+            vrow = dict(cand)
+            vlead = _reduce_lead(vrow, vstate)
+            if vlead is None:
                 continue
             added = {}
-            count = 0
             for ww in range(w):
                 block = {slot * w + ww: val for slot, val in cand.items()}
-                red, lead = _reduce_vector(block, state, added)
-                if red is not None:
-                    added[lead] = red
-                    count += 1
-            if count > best_count:
-                best, best_count, best_rows = cand, count, added
-                best_vrow = (vlead, vred)
+                lead = _reduce_lead(block, state, added)
+                if lead is not None:
+                    added[lead] = block
+            if len(added) > best_count:
+                best, best_count, best_rows = cand, len(added), added
+                best_vrow = (vlead, vrow)
         state.update(best_rows)
         vstate[best_vrow[0]] = best_vrow[1]
         chosen_back.append(best)
@@ -375,7 +372,7 @@ def _greedy_ordering(t: Tableau) -> OrderedBasis:
     for cand in reversed(chosen_back):
         row = [0] * n
         for c, v in cand.items():
-            row[c] = v
+            row[c] = GaussRational(*v)
         rows.append(row)
     return OrderedBasis.from_rows(rows, "greedy")
 
@@ -399,9 +396,7 @@ def search_ordering(t: Tableau, strategy: str, seed: int = None) -> OrderedBasis
         n = t.dim_V
         while True:
             rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            as_vecs = [
-                {c: GaussRational(v) for c, v in enumerate(row) if v} for row in rows
-            ]
-            if rank_rows(as_vecs) == n:
+            int_rows = [{c: (v, 0) for c, v in enumerate(row) if v} for row in rows]
+            if len(int_pivot_cols(int_rows)) == n:
                 return OrderedBasis.from_rows(rows, f"random:{seed}")
     raise ValueError(f"unknown ordering strategy {strategy!r}")

@@ -88,6 +88,18 @@ class TestLevelOne:
         assert report.rhs_cartan_test == 32
         assert report.involutive
 
+    def test_greedy_k3_n4(self):
+        sys43 = build_euclidean(4, 3)
+        lifted = prolong(sys43.tableau()).lifted
+        greedy = search_ordering(lifted, "greedy")
+        cubic = sys43.monogenic_dim(3)
+        hinted = cartan_test(lifted, greedy, dim_prolongation_hint=cubic)
+        plain = cartan_test(lifted, greedy)
+        assert plain == hinted
+        assert plain.characters == (36, 32, 28, 24, 20, 16, 12) + (0,) * 5
+        assert plain.rhs_cartan_test == plain.dim_prolongation == cubic == 560
+        assert plain.involutive
+
     def test_paper_ordering_characters_n4(self, sys42):
         lifted = prolong(sys42.tableau()).lifted
         report = cartan_test(

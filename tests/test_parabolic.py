@@ -108,13 +108,18 @@ class TestTableau:
 
     def test_level0_k3(self):
         psys33 = build_parabolic(3, 3)
-        r0, _ = parabolic_cartan_suite(
+        r0, r1 = parabolic_cartan_suite(
             psys33, level0_ob=parabolic_level0_ordering(psys33)
         )
         assert r0.dim_tableau == 18
         assert r0.rhs_cartan_test == level0_rhs_formula(3, 3, 2) == 90
         assert r0.dim_prolongation == 84
         assert not r0.involutive
+        # level 1 under the greedy flag, k = 3 having no hand-picked one
+        assert r1.ordering_label == "greedy"
+        assert r1.characters == (18, 16, 14, 12, 10, 8, 6, 0, 0, 0, 0, 0)
+        assert r1.rhs_cartan_test == r1.dim_prolongation == 280
+        assert r1.involutive
 
 
 class TestDecompositions:

@@ -3,11 +3,14 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
 from kdirac.euclidean import build_euclidean, level1_ordering
 from kdirac.linalg import GaussRational, SubspaceBasis, rank_rows
+from kdirac.parabolic import build_parabolic
 from kdirac.tableau import (
     CartanReport,
     InvariantViolation,
@@ -250,3 +253,79 @@ class TestSearchOrdering:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             search_ordering(Tableau.full(2, 1), "mystery")
+
+
+def reversed_identity(n):
+    return [{i: 1} for i in reversed(range(n))]
+
+
+class TestGreedyFlags:
+    """The greedy flags of the paper's k=3 tableaux, pinned row by row."""
+
+    def test_e33_level1(self):
+        lifted = prolong(build_euclidean(3, 3).tableau()).lifted
+        rows = search_ordering(lifted, "greedy").change.row_dicts()
+        assert rows == [
+            {6: 1}, {5: 1}, {4: 1}, {3: 1}, {4: 1, 8: 1}, {3: 1, 7: 1},
+            {2: 1}, {1: 1}, {0: 1},
+        ]
+
+    @pytest.mark.parametrize(
+        "build,n,k",
+        [(build_euclidean, 3, 3), (build_euclidean, 4, 3), (build_parabolic, 3, 3)],
+    )
+    def test_level0_reversed_identity(self, build, n, k):
+        t = build(n, k).tableau()
+        rows = search_ordering(t, "greedy").change.row_dicts()
+        assert rows == reversed_identity(t.dim_V)
+
+
+ENTRIES = (GR(1), GR(-1), GR(Fraction(1, 2)), GR(0, 1), GR(1, 1), GR(Fraction(-1, 2), 2))
+
+
+@st.composite
+def small_tableaux(draw):
+    dim_V = draw(st.integers(1, 3))
+    dim_W = draw(st.integers(1, 2))
+    n = dim_V * dim_W
+    entry = st.one_of(st.none(), st.sampled_from(ENTRIES))
+    vecs = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n))
+    vecs = [{c: v for c, v in enumerate(vec) if v is not None} for vec in vecs]
+    return Tableau(dim_V, dim_W, SubspaceBasis.from_vectors(n, vecs))
+
+
+def brute_force_greedy(t):
+    """The greedy rule restated with whole-matrix ranks: at each step, among
+    the candidates independent of the covectors already chosen, take the first
+    whose W-block adds the most rank to the tableau plus the chosen blocks."""
+    n, w = t.dim_V, t.dim_W
+    one, neg = GR(1), GR(-1)
+    candidates = [{i: one} for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            candidates += [{i: one, j: one}, {i: one, j: neg}]
+
+    def block(cand):
+        return [{slot * w + ww: v for slot, v in cand.items()} for ww in range(w)]
+
+    state = list(t.basis.vectors)
+    chosen = []
+    for _ in range(n):
+        best, best_gain = None, -1
+        for cand in candidates:
+            if rank_rows(chosen + [cand]) == len(chosen):
+                continue
+            gain = rank_rows(state + block(cand)) - rank_rows(state)
+            if gain > best_gain:
+                best, best_gain = cand, gain
+        chosen.append(best)
+        state += block(best)
+    return chosen[::-1]
+
+
+class TestGreedyOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(small_tableaux())
+    def test_matches_brute_force_rule(self, t):
+        ob = search_ordering(t, "greedy")
+        assert ob.change.row_dicts() == brute_force_greedy(t)
