@@ -52,6 +52,8 @@ class EuclideanSystem:
         ]
         self._tableau = None
         self._spaces = {}
+        self._chart_ops = None
+        self._factors = {}  # extension solves of chart_ops, see solve_correction
 
     @property
     def n(self):
@@ -255,9 +257,11 @@ def chart_vars(n: int) -> VariableSet:
 
 
 def chart_ops(sys: EuclideanSystem):
-    """The two slot operators rewritten in the chart variables (k = 2)."""
+    """The two slot operators in the chart variables (k = 2), built once per system."""
     if sys.k != 2:
         raise ValueError("the chart exists only for k = 2")
+    if sys._chart_ops is not None:
+        return sys._chart_ops
     vars, table = _chart_data(sys.n)
     one = {(0,) * (2 * sys.n): GaussRational(1)}
     ops = []
@@ -269,7 +273,8 @@ def chart_ops(sys: EuclideanSystem):
             for tidx, coeff in table[(a, i)]
         ]
         ops.append(DiffOp(vars, sys.s, terms))
-    return ops
+    sys._chart_ops = tuple(ops)
+    return sys._chart_ops
 
 
 def _homogeneous_degree(p: SpinorPoly):
@@ -291,6 +296,7 @@ def extend_from_initial_data(
     restricting a solution to the leading variables recovers g1 and its
     t_{2n-2}-linear part recovers g2. Solvability and uniqueness are
     guaranteed by the theory, so their failure raises InvariantViolation.
+    The constraint matrix is factored once per system and degree (kept on it).
     """
     if sys.k != 2:
         raise ValueError("initial-data extension applies to k = 2 only")
@@ -324,16 +330,22 @@ def extend_from_initial_data(
         return tdeg == 0 or (tdeg == 1 and e[2 * n - 3] == 1)
 
     unknown = [e for e in monomial_basis(vars, r) if not is_data_monomial(e)]
-    g, rank = solve_correction(ops, base, unknown)
-    if g is None:
-        raise InvariantViolation("initial data admits no monogenic extension")
-    if rank != len(unknown) * s:
-        raise InvariantViolation("monogenic extension is not unique")
-    result = base + g
-    for op in ops:
-        if not apply_op(op, result).is_zero():
-            raise InvariantViolation("extension fails to be monogenic")
-    return result
+    g, rank = solve_correction(ops, base, unknown, sys._factors)
+    where, want = f"e({n},2) degree {r}", len(unknown) * s
+    if g is None or rank != want:
+        what = "does not exist" if g is None else "is not unique"
+        raise InvariantViolation(
+            f"{where}: extension {what}: rank {rank}, len(unknown) * s = {want}")
+    return require_monogenic(ops, base + g, where)
+
+
+def require_monogenic(ops, psi: SpinorPoly, where: str) -> SpinorPoly:
+    """Return ``psi`` after checking that every op annihilates it."""
+    for slot, op in enumerate(ops, 1):
+        if left := len(apply_op(op, psi).coeffs):
+            raise InvariantViolation(
+                f"{where}: result not monogenic, op {slot} leaves {left} terms")
+    return psi
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ Two kinds of entry point share that core:
 * GaussRational rows (sparse dicts of :class:`GaussRational`): ``rref_rows``,
   ``rank_rows``, ``kernel_rows`` and ``solve_rows``, plus ``inverse`` of an
   :class:`ExactMatrix` and the canonical bases of :class:`SubspaceBasis`. Each
-  row is scaled to Gaussian integers on entry.
+  row is scaled to Gaussian integers on entry. ``solve_rows`` reads its answers
+  from a :class:`RowFactor`, which callers solving one matrix for many data keep.
 * Gaussian-integer pair rows (sparse dicts of ``(re, im)`` int pairs), for
   assemblers that already produce integers: ``to_int_rows`` makes them from
   GaussRational vectors, ``int_pivot_cols`` returns the column rank profile
@@ -499,42 +500,59 @@ def kernel_rows(vectors: Sequence[Mapping], ncols: int) -> "SubspaceBasis":
     return int_kernel_rows([_to_int_row(v) for v in vectors], ncols)
 
 
+class RowFactor:
+    """Rows reduced once on their first ``ncols`` columns, solved for many data.
+
+    Split each row as (a, d) at column ``ncols``. ``solve(x)`` takes data x over
+    the columns from ``ncols`` on and returns h over the first ``ncols`` with
+    a . h = d . x for every row and free coordinates zero, or None when no such
+    h exists; ``rank`` is the rank of the a block.
+    """
+
+    __slots__ = ("rank", "_cols")
+
+    def __init__(self, rows: Sequence[Mapping], ncols: int):
+        int_rows = {i: _to_int_row(r) for i, r in enumerate(rows)}
+        pivots = _eliminate(int_rows, reduced=True, pivot_limit=ncols)
+        self.rank, self._cols = len(pivots), {}
+        # pivot rows keep a tail in the data columns, the others lie only there:
+        # data column -> [(pivot column, tail entry) or (-1 - row id, entry)]
+        for pc, vec in _normalise(int_rows, pivots):
+            for c, v in vec.items():
+                if c >= ncols:
+                    self._cols.setdefault(c, []).append((pc, v))
+        for rid in set(int_rows) - {rid for _, rid in pivots}:
+            for c, (a, b) in int_rows[rid].items():
+                self._cols.setdefault(c, []).append((-1 - rid, GaussRational(a, b)))
+
+    def solve(self, x: Mapping):
+        acc = {}
+        for c, v in x.items():
+            unit = v == ONE
+            for key, w in self._cols.get(c, ()):
+                w = w if unit else v * w
+                cur = acc.get(key)
+                acc[key] = w if cur is None else cur + w
+        if any(v for key, v in acc.items() if key < 0):
+            return None
+        return {pc: v for pc, v in acc.items() if v}
+
+
 def solve_rows(rows: Sequence[Mapping], ncols: int, rhs: Sequence[Mapping]):
     """Solve row . x = b for several right-hand sides at once.
 
     ``rows`` are the equations (sparse over columns 0..ncols-1); each rhs maps
     equation index -> value. Returns (solutions, rank) where solutions[j] is a
     particular solution with free coordinates set to zero, or None when the
-    j-th system is inconsistent.
+    j-th system is inconsistent. A :class:`RowFactor` holds b_j in column ncols + j.
     """
     aug = [dict(r) for r in rows]
     for j, b in enumerate(rhs):
-        col = ncols + j
         for ri, val in b.items():
             if val:
-                aug[ri][col] = val
-    rows_map = {i: _to_int_row(r) for i, r in enumerate(aug)}
-    pivots = _eliminate(rows_map, reduced=True, pivot_limit=ncols)
-    norm = _normalise(rows_map, pivots)
-    rank = len(pivots)
-    in_pivot = {rid for _, rid in pivots}
-    bad_cols = set()
-    for rid, row in rows_map.items():
-        if rid not in in_pivot and row:
-            bad_cols.update(row)
-    solutions = []
-    for j in range(len(rhs)):
-        col = ncols + j
-        if col in bad_cols:
-            solutions.append(None)
-            continue
-        sol = {}
-        for pc, vec in norm:
-            val = vec.get(col)
-            if val is not None:
-                sol[pc] = val
-        solutions.append(sol)
-    return solutions, rank
+                aug[ri][ncols + j] = val
+    factor = RowFactor(aug, ncols)
+    return [factor.solve({ncols + j: ONE}) for j in range(len(rhs))], factor.rank
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ the prolongation bases.
 from math import comb
 
 from .clifford import CliffordRep, build_spinor_rep
-from .euclidean import EuclideanSystem, HALF, level1_ordering
+from .euclidean import EuclideanSystem, HALF, level1_ordering, require_monogenic
 from .linalg import GaussRational, SubspaceBasis, ZERO, kernel_rows, rank_rows
 from .polynomials import (
     DiffOp,
@@ -64,6 +64,7 @@ class ParabolicSystem:
         self._tableau = None
         self._euclidean = None
         self._spaces = {}
+        self._factors = {}  # lift solves of the slot ops, see solve_correction
 
     @property
     def n(self):
@@ -385,8 +386,9 @@ def lift_check(sys: ParabolicSystem, psi: SpinorPoly, g) -> SpinorPoly:
 
     ``g`` is a scalar polynomial in the y-variables (mapping exponent tuples
     over the extended variable set to coefficients). Existence is guaranteed;
-    failure of the solve raises InvariantViolation. The returned spinor is
-    re-checked against every slot operator.
+    failure of the solve raises InvariantViolation. The constraint matrix is
+    factored once per system, seed degree and y-degree of g (kept on the
+    system). The returned spinor is re-checked against every slot operator.
     """
     r, l = _validate_lift_inputs(sys, psi, g)
     base = scalar_multiply(g, psi)
@@ -396,14 +398,12 @@ def lift_check(sys: ParabolicSystem, psi: SpinorPoly, g) -> SpinorPoly:
     unknown = [
         e for e in monomial_basis(sys.vars, r + 2 * l) if sum(e[nk:]) < l
     ]
-    h, _rank = solve_correction(sys.ops, base, unknown)
+    h, rank = solve_correction(sys.ops, base, unknown, sys._factors)
+    where = f"p({sys.n},{sys.k}) seed degree {r}, y-degree {l}"
     if h is None:
-        raise InvariantViolation("no lift with the required leading term exists")
-    result = base + h
-    for op in sys.ops:
-        if not apply_op(op, result).is_zero():
-            raise InvariantViolation("computed lift is not monogenic")
-    return result
+        raise InvariantViolation(f"{where}: no lift with leading term g psi: rank "
+                                 f"{rank}, len(unknown) * s = {len(unknown) * sys.s}")
+    return require_monogenic(sys.ops, base + h, where)
 
 
 def y_monomial(sys: ParabolicSystem, r: int, t: int, power: int = 1):

@@ -18,11 +18,11 @@ from typing import Mapping, Sequence
 from .linalg import (
     ExactMatrix,
     GaussRational,
+    RowFactor,
     SubspaceBasis,
     ZERO,
     kernel_rows,
     rank_rows,
-    solve_rows,
 )
 
 Exponents = tuple
@@ -359,41 +359,40 @@ def solution_dim(
     return ncols - rank_rows(rows)
 
 
-def solve_correction(ops: Sequence[DiffOp], base: SpinorPoly, unknown: Sequence):
+def solve_correction(
+    ops: Sequence[DiffOp], base: SpinorPoly, unknown: Sequence, factors: dict
+):
     """Complete a known homogeneous part to a joint solution of the ops.
 
     Finds ``h`` supported on the ``unknown`` monomials (exponent tuples of the
-    weighted degree of ``base``) with op(base + h) = 0 for every op. One
-    coefficient matrix over the columns ``unknown`` followed by the monomials
-    of ``base`` is built; the unknown block is the system and the base block,
-    applied to the coefficients of ``base``, the right-hand side.
+    weighted degree of ``base``) with op(base + h) = 0 for every op; ``base``
+    may use only the other monomials of that degree. The coefficient matrix
+    over all monomials of the degree, unknown ones first, is reduced once into
+    a :class:`RowFactor` and ``base`` is one datum solved against it.
+    ``factors`` is the caller's memo for this list of ops (a system keeps
+    one): it holds the factor per degree and unknown monomials, so solving
+    many data of one degree builds the factor once.
 
     Returns (h, rank): h is a particular solution (free coordinates zero) or
     None when none exists, and rank is that of the unknown block, so the
     solution is unique exactly when rank == len(unknown) * spinor_dim.
     """
     vars, s = base.vars, base.spinor_dim
-    monos = list(unknown) + sorted({e for e, _ in base.coeffs})
-    degrees = {vars.weighted_degree(e) for e in monos}
-    if len(degrees) != 1:
-        raise ValueError("unknown and base monomials must share one weighted degree")
-    rows, _ = _constraint_rows(ops, vars, s, degrees.pop(), monos)
-    col_of = {e: idx for idx, e in enumerate(monos)}
-    known = {col_of[e] * s + mu: v for (e, mu), v in base.coeffs.items()}
-    ncols = len(unknown) * s
-    system, rhs = [], {}
-    for row in rows:
-        b = ZERO
-        for col, v in row.items():
-            if col in known:
-                b = b - v * known[col]
-        if b:
-            rhs[len(system)] = b
-        system.append({c: v for c, v in row.items() if c < ncols})
-    solutions, rank = solve_rows(system, ncols, [rhs])
-    if solutions[0] is None:
-        return None, rank
-    return _as_poly(vars, s, monos, solutions[0]), rank
+    degrees = {vars.weighted_degree(e) for e in unknown} | base.weighted_degrees()
+    skip = set(unknown)
+    if len(degrees) != 1 or not skip.isdisjoint(e for e, _ in base.coeffs):
+        raise ValueError("base and unknown monomials must be apart and of one degree")
+    degree = degrees.pop()
+    key = (degree, tuple(unknown))
+    if key not in factors:
+        monos = list(unknown)
+        monos += [e for e in monomial_basis(vars, degree) if e not in skip]
+        rows, _ = _constraint_rows(ops, vars, s, degree, monos)
+        col_of = {e: idx for idx, e in enumerate(monos)}
+        factors[key] = (monos, col_of, RowFactor(rows, len(unknown) * s))
+    monos, col_of, factor = factors[key]
+    h = factor.solve({col_of[e] * s + mu: -v for (e, mu), v in base.coeffs.items()})
+    return (None if h is None else _as_poly(vars, s, monos, h)), factor.rank
 
 
 def _as_poly(vars: VariableSet, spinor_dim: int, monos, vec) -> SpinorPoly:

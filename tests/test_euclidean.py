@@ -1,5 +1,9 @@
+from itertools import combinations_with_replacement
+from math import comb
+
 import pytest
 
+from kdirac import polynomials
 from kdirac.euclidean import (
     build_euclidean,
     chart_ops,
@@ -13,7 +17,7 @@ from kdirac.euclidean import (
     quadratic_dim_formula,
     restriction_commutator_check,
 )
-from kdirac.linalg import GaussRational
+from kdirac.linalg import GaussRational, RowFactor, rank_rows
 from kdirac.polynomials import (
     SpinorPoly,
     apply_op,
@@ -21,7 +25,7 @@ from kdirac.polynomials import (
     scalar_multiply,
     solution_space,
 )
-from kdirac.tableau import cartan_test, prolong, search_ordering
+from kdirac.tableau import InvariantViolation, cartan_test, prolong, search_ordering
 
 GR = GaussRational
 
@@ -224,6 +228,101 @@ class TestExtension:
                 if key[0][5:] in ((0, 0, 0), (1, 0, 0))
             }
             assert SpinorPoly(vars, s, data) == a + scalar_multiply(t6, b)
+
+
+def chart_data(sys, r):
+    """Every unit datum (g1, g2) of degree r: spinor monomials of degree r
+    (g1) and r - 1 (g2) in the leading chart variables t_1..t_{2n-3}."""
+    vars, s = chart_vars(sys.n), sys.s
+    zero = SpinorPoly.zero(vars, s)
+    data = []
+    for degree in (r, r - 1):
+        for combo in combinations_with_replacement(range(2 * sys.n - 3), degree):
+            e = [0] * len(vars)
+            for v in combo:
+                e[v] += 1
+            for mu in range(s):
+                g = SpinorPoly.monomial(vars, s, tuple(e), mu)
+                data.append((g, zero) if degree == r else (zero, g))
+    return data
+
+
+def coefficient_rank(polys):
+    cols = {}
+    rows = [{cols.setdefault(key, len(cols)): v for key, v in p.coeffs.items()}
+            for p in polys]
+    return rank_rows(rows)
+
+
+class TestExtensionBasis:
+    def test_e32_degree4_whole_data_basis(self):
+        sys = build_euclidean(3, 2)
+        n, r, s = 3, 4, sys.s
+        t = 2 * n - 3  # 0-based index of t_{2n-2}, which carries g2
+        trailing = [t, t + 1, t + 2]
+        data = chart_data(sys, r)
+        v = 2 * n - 4
+        assert len(data) == s * (comb(r + v, v) + comb(r - 1 + v, v)) == 50
+        results = [extend_from_initial_data(sys, g1, g2) for g1, g2 in data]
+        for psi, (g1, g2) in zip(results, data):
+            assert psi.substitute_zero(trailing) == g1
+            linear = {
+                (e[:t] + (0,) + e[t + 1:], mu): c
+                for (e, mu), c in psi.coeffs.items()
+                if (e[t], e[t + 1], e[t + 2]) == (1, 0, 0)
+            }
+            assert SpinorPoly(psi.vars, s, linear) == g2
+        assert coefficient_rank(results) == 50
+
+    def test_results_do_not_depend_on_call_order(self):
+        data = chart_data(build_euclidean(3, 2), 3)
+        forward = build_euclidean(3, 2)
+        backward = build_euclidean(3, 2)
+        first = [extend_from_initial_data(forward, g1, g2) for g1, g2 in data]
+        last = [extend_from_initial_data(backward, g1, g2) for g1, g2 in data[::-1]]
+        assert first == last[::-1]
+
+
+class TestFactorMemo:
+    def test_fresh_system_has_no_factor(self):
+        used = build_euclidean(3, 2)
+        g1, g2 = chart_data(used, 2)[0]
+        extend_from_initial_data(used, g1, g2)
+        assert len(used._factors) == 1
+        fresh = build_euclidean(3, 2)
+        assert fresh._factors == {} and fresh._chart_ops is None
+        assert chart_ops(fresh) is chart_ops(fresh)
+
+    def test_systems_and_degrees_never_share_a_factor(self):
+        e32, e42 = build_euclidean(3, 2), build_euclidean(4, 2)
+        for sys in (e32, e42):
+            for r in (2, 3):
+                g1, g2 = chart_data(sys, r)[-1]
+                extend_from_initial_data(sys, g1, g2)
+        # full rank over the unknowns: 12 and 40 monomials times s = 2 for
+        # e(3,2), 16 and 70 monomials times s = 4 for e(4,2)
+        ranks = [{k[0]: f.rank for k, (_, _, f) in sys._factors.items()}
+                 for sys in (e32, e42)]
+        assert ranks == [{2: 24, 3: 80}, {2: 64, 3: 280}]
+        factors = [f for sys in (e32, e42) for _, _, f in sys._factors.values()]
+        assert len({id(f) for f in factors}) == 4
+
+    def test_short_rank_names_the_disagreeing_numbers(self, monkeypatch):
+        class ShortRank(RowFactor):
+            __slots__ = ()
+
+            def __init__(self, rows, ncols):
+                super().__init__(rows, ncols)
+                self.rank -= 1
+
+        monkeypatch.setattr(polynomials, "RowFactor", ShortRank)
+        sys = build_euclidean(3, 2)
+        g1, g2 = chart_data(sys, 2)[0]
+        with pytest.raises(InvariantViolation) as err:
+            extend_from_initial_data(sys, g1, g2)
+        message = str(err.value)
+        assert "e(3,2) degree 2" in message and "not unique" in message
+        assert "rank 23, len(unknown) * s = 24" in message
 
 
 class TestRestriction:

@@ -13,6 +13,7 @@ from kdirac.linalg import (
     GaussRational,
     IMAG,
     ONE,
+    RowFactor,
     SubspaceBasis,
     int_pivot_cols,
     inverse,
@@ -255,6 +256,67 @@ class TestSolve:
     def test_inverse_singular(self):
         with pytest.raises(ValueError):
             inverse(ExactMatrix.from_rows([[1, 1], [2, 2]]))
+
+
+def per_datum_solve(rows, ncols, x):
+    """The solve a factor replaces: the block before ``ncols`` as the system
+    and the data block applied to x as the right-hand side."""
+    system, rhs = [], {}
+    for i, row in enumerate(rows):
+        b = GR(0)
+        for c, v in row.items():
+            if c >= ncols:
+                b = b + v * x.get(c, GR(0))
+        if b:
+            rhs[i] = b
+        system.append({c: v for c, v in row.items() if c < ncols})
+    solutions, rank = solve_rows(system, ncols, [rhs])
+    return solutions[0], rank
+
+
+def data_vectors(ncols=7, unknown=3):
+    entry = st.one_of(st.just(GR(0)), small_scalars())
+    return st.dictionaries(st.integers(unknown, ncols - 1), entry, max_size=4).map(
+        lambda x: {c: v for c, v in x.items() if v}
+    )
+
+
+class TestRowFactor:
+    """One factor, many data: each answer equals a fresh solve of its own."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(sparse_rows(), st.lists(data_vectors(), min_size=1, max_size=4))
+    def test_matches_a_fresh_solve_per_datum(self, rows, data):
+        factor = RowFactor(rows, 3)
+        for x in data:
+            expected, rank = per_datum_solve(rows, 3, x)
+            assert factor.rank == rank == rank_rows(
+                [{c: v for c, v in r.items() if c < 3} for r in rows]
+            )
+            h = factor.solve(x)
+            assert h == expected
+            augmented = [
+                {**{c: v for c, v in r.items() if c < 3},
+                 3: sum((v * x.get(c, GR(0)) for c, v in r.items() if c >= 3), GR(0))}
+                for r in rows
+            ]
+            consistent = rank_rows(augmented) == rank
+            assert (h is not None) == consistent
+            if h is not None:
+                assert set(h) <= set(range(3))
+                for r in rows:
+                    total = sum((v * h[c] if c < 3 else -v * x[c]
+                                 for c, v in r.items() if c in h or c in x), GR(0))
+                    assert not total
+
+    def test_consistency_is_tested_on_the_whole_datum(self):
+        # after reduction row 1 lies in the data columns 1 and 2 as d1 - d2
+        rows = [{0: ONE, 2: ONE}, {1: ONE, 2: GR(-1)}]
+        factor = RowFactor(rows, 1)
+        assert factor.rank == 1
+        assert factor.solve({1: ONE}) is None
+        assert factor.solve({2: ONE}) is None
+        assert factor.solve({1: ONE, 2: ONE}) == {0: ONE}
 
 
 def test_kernel_rows_support_validation():

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from kdirac.linalg import GaussRational
+from kdirac import polynomials
+from kdirac.linalg import GaussRational, RowFactor, rank_rows
 from kdirac.parabolic import (
     build_parabolic,
     check_bracket_identity,
@@ -192,6 +193,50 @@ class TestLift:
         bad_g = {(1, 0, 0, 0, 0, 0, 0): GR(1)}
         with pytest.raises(ValueError):
             lift_check(psys32, psi, bad_g)
+
+
+class TestLiftBasis:
+    def test_degree2_seeds_by_y_squared(self):
+        psys = build_parabolic(3, 2)
+        g = y_monomial(psys, 1, 2, 2)
+        seeds = psys.euclidean_monogenic_embedded(2)
+        assert len(seeds) == 18
+        lifts = [lift_check(psys, psi, g) for psi in seeds]
+        for psi, lifted in zip(seeds, lifts):
+            for op in psys.ops:
+                assert apply_op(op, lifted).is_zero()
+            top = {key: v for key, v in lifted.coeffs.items() if sum(key[0][6:]) == 2}
+            assert SpinorPoly(psys.vars, psys.s, top) == scalar_multiply(g, psi)
+        cols = {}
+        rows = [{cols.setdefault(key, len(cols)): v for key, v in p.coeffs.items()}
+                for p in lifts]
+        assert rank_rows(rows) == 18
+
+    def test_memo_keeps_one_factor_per_seed_degree_and_y_degree(self):
+        psys = build_parabolic(3, 2)
+        assert psys._factors == {}
+        # seed degree 1 by y12^2 and seed degree 3 by y12 share weighted degree 5
+        for degree, power in ((1, 2), (3, 1), (1, 2)):
+            psi = psys.euclidean_monogenic_embedded(degree)[0]
+            lift_check(psys, psi, y_monomial(psys, 1, 2, power))
+        assert sorted(k[0] for k in psys._factors) == [5, 5]
+        assert build_parabolic(3, 2)._factors == {}
+
+    def test_failed_lift_names_the_system_and_degrees(self, monkeypatch):
+        class Inconsistent(RowFactor):
+            __slots__ = ()
+
+            def solve(self, x):
+                return None
+
+        monkeypatch.setattr(polynomials, "RowFactor", Inconsistent)
+        psys = build_parabolic(3, 2)
+        psi = psys.euclidean_monogenic_embedded(1)[0]
+        with pytest.raises(InvariantViolation) as err:
+            lift_check(psys, psi, y_monomial(psys, 1, 2))
+        # the unknowns are the 56 cubic x-monomials times s = 2
+        assert "p(3,2) seed degree 1, y-degree 1" in str(err.value)
+        assert "len(unknown) * s = 112" in str(err.value)
 
 
 class TestTwoJetFibre:

@@ -190,14 +190,14 @@ class TestSolveCorrection:
     def test_inconsistent_system(self):
         base = SpinorPoly.monomial(self.vs, 1, (2, 0), 0)
         # d/dx (x^2 + b y^2) = 2x for every b
-        h, rank = solve_correction([self.op(0)], base, [(0, 2)])
+        h, rank = solve_correction([self.op(0)], base, [(0, 2)], {})
         assert h is None and rank == 0
 
     def test_unique_correction_on_unknown_monomials(self):
         base = SpinorPoly.monomial(self.vs, 1, (2, 0), 0)
         unknown = [(1, 1), (0, 2)]
         op = self.op(-1)
-        h, rank = solve_correction([op], base, unknown)
+        h, rank = solve_correction([op], base, unknown, {})
         assert rank == 2
         # (d/dx - d/dy) (x + y)^2 = 0
         assert h.coeffs == {((1, 1), 0): GR(2), ((0, 2), 0): GR(1)}
@@ -207,7 +207,22 @@ class TestSolveCorrection:
     def test_mixed_degrees_rejected(self):
         base = SpinorPoly.monomial(self.vs, 1, (2, 0), 0)
         with pytest.raises(ValueError):
-            solve_correction([self.op(1)], base, [(0, 1)])
+            solve_correction([self.op(1)], base, [(0, 1)], {})
+
+    def test_base_on_an_unknown_monomial_rejected(self):
+        base = SpinorPoly.monomial(self.vs, 1, (1, 1), 0)
+        with pytest.raises(ValueError):
+            solve_correction([self.op(-1)], base, [(1, 1), (0, 2)], {})
+
+    def test_memo_reuses_one_factor_per_degree_and_unknowns(self):
+        op, factors = self.op(-1), {}
+        for unknown, exps in (([(1, 1), (0, 2)], (2, 0)), ([(0, 2)], (2, 0)),
+                              ([(0, 3)], (3, 0)), ([(1, 1), (0, 2)], (2, 0))):
+            base = SpinorPoly.monomial(self.vs, 1, exps, 0, GR(2, 1))
+            assert solve_correction([op], base, unknown, factors) == solve_correction(
+                [op], base, unknown, {}
+            )
+        assert sorted(k[0] for k in factors) == [2, 2, 3]
 
 
 def test_spinor_poly_substitution():
