@@ -14,7 +14,7 @@ eigenspaces are the two half-spinor summands, each of dimension s/2.
 
 from dataclasses import dataclass
 
-from .linalg import ExactMatrix, GaussRational, IMAG, ONE, ZERO
+from .linalg import ExactMatrix, GaussRational, IMAG, ONE, ZERO, InvariantViolation
 
 _PAULI_X = ExactMatrix.from_rows([[0, 1], [1, 0]])
 _PAULI_Y = ExactMatrix.from_rows([[0, GaussRational(0, -1)], [GaussRational(0, 1), 0]])
@@ -72,8 +72,6 @@ class CliffordRep:
         self.params = params
         self.gamma = gamma
         self.chirality = chirality
-        # column maps (mu -> [(nu, value)]) used by the symbol builders
-        self._gamma_cols = [g.column_maps() for g in gamma]
 
     @property
     def n(self) -> int:
@@ -83,12 +81,9 @@ class CliffordRep:
     def s(self) -> int:
         return self.params.s
 
-    def gamma_cols(self, alpha0: int):
-        """Column map of the (0-based) alpha-th generator."""
-        return self._gamma_cols[alpha0]
-
     def verify(self) -> None:
-        """Check the defining relation and, for even n, the chirality split."""
+        """Check the defining relation and, for even n, the chirality split;
+        a failure raises InvariantViolation naming n and the generators."""
         n, s = self.n, self.s
         minus_two_id = ExactMatrix.identity(s).scaled(GaussRational(-2))
         for a in range(n):
@@ -98,17 +93,20 @@ class CliffordRep:
                 )
                 expected = minus_two_id if a == b else ExactMatrix(s, s)
                 if anti != expected:
-                    raise AssertionError(f"Clifford relation fails at ({a}, {b})")
+                    raise InvariantViolation(
+                        f"n = {n}: Clifford relation g_a g_b + g_b g_a = -2 delta_ab"
+                        f" fails for generators a = {a + 1}, b = {b + 1}")
         if self.chirality is not None:
             if self.chirality.matmul(self.chirality) != ExactMatrix.identity(s):
-                raise AssertionError("chirality must square to the identity")
+                raise InvariantViolation(f"n = {n}: chirality must square to the identity")
             plus = sum(1 for i in range(s) if self.chirality.entry(i, i) == ONE)
             if plus * 2 != s:
-                raise AssertionError("half-spinor spaces must have equal dimension")
-            for g in self.gamma:
-                prod = self.chirality.matmul(g) + g.matmul(self.chirality)
-                if not prod.is_zero():
-                    raise AssertionError("chirality must anticommute with generators")
+                raise InvariantViolation(
+                    f"n = {n}: half-spinor spaces of dimensions {plus} and {s - plus}")
+            for a, g in enumerate(self.gamma, 1):
+                if not (self.chirality.matmul(g) + g.matmul(self.chirality)).is_zero():
+                    raise InvariantViolation(
+                        f"n = {n}: chirality does not anticommute with generator {a}")
 
     def chirality_eigenspace_dims(self):
         """Dimensions of the +1 and -1 chirality eigenspaces (even n only)."""
@@ -150,10 +148,6 @@ def clifford_apply(rep: CliffordRep, alpha: int, v):
     if len(v) != rep.s:
         raise ValueError("spinor has wrong length")
     out = [ZERO] * rep.s
-    for mu, entries in enumerate(rep.gamma_cols(alpha - 1)):
-        x = v[mu]
-        if not x:
-            continue
-        for nu, val in entries:
-            out[nu] = out[nu] + val * x
+    for (nu, mu), val in rep.gamma[alpha - 1].entries.items():
+        out[nu] = out[nu] + val * v[mu]
     return out

@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import comb
 
 from .clifford import CliffordRep, build_spinor_rep
-from .linalg import GaussRational, SubspaceBasis, ZERO, rank_rows
+from .linalg import GaussRational, InvariantViolation, SubspaceBasis, _projected_ranks
 from .polynomials import (
     DiffOp,
     SpinorPoly,
@@ -30,7 +30,7 @@ from .polynomials import (
     solution_space,
     solve_correction,
 )
-from .tableau import InvariantViolation, OrderedBasis, Tableau
+from .tableau import OrderedBasis, Tableau, prolong
 
 HALF = GaussRational("1/2")
 
@@ -82,6 +82,7 @@ class EuclideanSystem:
         if self._tableau is None:
             basis = self.monogenic_space(1)
             self._tableau = Tableau(self.n * self.k, self.s, basis)
+            self._tableau.system = f"e({self.n},{self.k})"
         return self._tableau
 
     def monogenic_space(self, degree: int) -> SubspaceBasis:
@@ -106,7 +107,8 @@ def build_euclidean(n: int, k: int) -> EuclideanSystem:
     expected = k * sys.s * (n - 1)
     got = sys.tableau().dim
     if got != expected:
-        raise InvariantViolation(f"symbol tableau dimension {got} != {expected}")
+        raise InvariantViolation(f"e({n},{k}) level 0: symbol tableau dimension "
+                                 f"{got} != {expected} = k s (n-1)")
     return sys
 
 
@@ -124,36 +126,21 @@ def level0_ordering(sys: EuclideanSystem) -> OrderedBasis:
 def level1_ordering(sys: EuclideanSystem) -> OrderedBasis:
     """The hand-picked chart ordering for k = 2 (label "paper").
 
-    Built from the t-chart: leading covectors t_1..t_{2n-3} carry the initial
-    data; the trailing three mix the last matrix row.
+    Built from the t-chart: the leading covectors t_1..t_{2n-3} carry the
+    initial data, e_i (x) eps_r for r < n-2 and i = 1, 2, then e1 (x)
+    eps_{n-2}, e2 (x) eps_{n-1} and (e1 + e2) (x) eps_n; the trailing three
+    are (e1 - e2) (x) eps_n, e2 (x) eps_{n-2} and e1 (x) eps_{n-1}.
     """
     if sys.k != 2:
         raise ValueError("the built-in level-1 ordering exists only for k = 2")
     n = sys.n
-    rows = [None] * (2 * n)
-    one = GaussRational(1)
-
-    def unit(vidx):
-        row = [0] * (2 * n)
-        row[vidx] = one
-        return row
-
-    for r in range(1, n - 1):
-        rows[2 * r - 2] = unit(2 * (r - 1))  # u_{2r-1} = e1 (x) eps_r
-    for r in range(1, n - 2):
-        rows[2 * r - 1] = unit(2 * (r - 1) + 1)  # u_{2r} = e2 (x) eps_r
-    rows[2 * n - 5] = unit(2 * (n - 2) + 1)  # e2 (x) eps_{n-1}
-    plus = [0] * (2 * n)
-    plus[2 * (n - 1)] = one
-    plus[2 * (n - 1) + 1] = one
-    rows[2 * n - 4] = plus  # (e1+e2) (x) eps_n
-    minus = [0] * (2 * n)
-    minus[2 * (n - 1)] = one
-    minus[2 * (n - 1) + 1] = GaussRational(-1)
-    rows[2 * n - 3] = minus  # (e1-e2) (x) eps_n
-    rows[2 * n - 2] = unit(2 * (n - 3) + 1)  # e2 (x) eps_{n-2}
-    rows[2 * n - 1] = unit(2 * (n - 2))  # e1 (x) eps_{n-1}
-    return OrderedBasis.from_rows(rows, label="paper")
+    col = lambda r, i: 2 * (r - 1) + i - 1  # noqa: E731 -- covector dual to x_{r i}
+    units = [(r, i) for r in range(1, n - 2) for i in (1, 2)] + [(n - 2, 1), (n - 1, 2)]
+    rows = [{col(r, i): 1} for r, i in units]
+    rows += [{col(n, 1): 1, col(n, 2): 1}, {col(n, 1): 1, col(n, 2): -1}]
+    rows += [{col(n - 2, 2): 1}, {col(n - 1, 1): 1}]
+    dense = [[row.get(c, 0) for c in range(2 * n)] for row in rows]
+    return OrderedBasis.from_rows(dense, label="paper")
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +172,12 @@ def quadratic_component_dims(sys: EuclideanSystem):
     skew-skew components inside S^2(E (x) F) (x) Sp.
 
     Projects the prolongation basis onto both summands and returns the two
-    ranks; their sum must reproduce the full dimension.
+    ranks; their sum must reproduce the full dimension. Each projection is
+    taken times 2, which clears its 1/2 and keeps the rank.
     """
-    from .tableau import prolong
-
-    k = sys.k
+    k, s, dim_V = sys.k, sys.s, sys.n * sys.k
     p = prolong(sys.tableau())
-    raw = p.raw
-    dim_V = sys.n * k
-    s = sys.s
+
     def partner(coord):
         pair, w = divmod(coord, s)
         c1, c2 = divmod(pair, dim_V)
@@ -201,31 +185,22 @@ def quadratic_component_dims(sys: EuclideanSystem):
         a2, i2 = divmod(c2, k)
         return ((a1 * k + i2) * dim_V + (a2 * k + i1)) * s + w
 
-    sym_vecs, skew_vecs = [], []
-    for vec in raw.vectors:
-        sym, skew = {}, {}
-        seen = set()
-        for coord in vec:
-            for cc in (coord, partner(coord)):
-                if cc in seen:
-                    continue
-                seen.add(cc)
-                val = vec.get(cc, ZERO)
-                pv = vec.get(partner(cc), ZERO)
-                sv = (val + pv) * HALF
-                kv = (val - pv) * HALF
-                if sv:
-                    sym[cc] = sv
-                if kv:
-                    skew[cc] = kv
-        if sym:
-            sym_vecs.append(sym)
-        if skew:
-            skew_vecs.append(skew)
-    sym_dim = rank_rows(sym_vecs)
-    skew_dim = rank_rows(skew_vecs)
+    def part(sign):
+        def image(row):
+            out = {}
+            for c in set(row).union(map(partner, row)):
+                (a, b), (pa, pb) = row.get(c, (0, 0)), row.get(partner(c), (0, 0))
+                if a + sign * pa or b + sign * pb:
+                    out[c] = (a + sign * pa, b + sign * pb)
+            return out
+
+        return image
+
+    sym_dim, skew_dim = _projected_ranks(p.raw.rows, (part(1), part(-1)))
     if sym_dim + skew_dim != p.dim:
-        raise InvariantViolation("component split does not add up")
+        raise InvariantViolation(
+            f"e({sys.n},{k}) level 1: component split does not add up: "
+            f"{sym_dim} + {skew_dim} != {p.dim} = dim A^(1)")
     return sym_dim, skew_dim
 
 

@@ -5,33 +5,31 @@ every operation, so each rank, kernel and echelon form computed here is a
 statement about the input matrix rather than an approximation. Matrices and
 vectors are sparse: only nonzero entries are stored.
 
-Elimination is fraction-free. Rows are scaled to Gaussian-integer entries and
-reduced with cross-multiplication updates plus content stripping, which keeps
-intermediate entries small; pivots are normalised to 1 only when the final
-reduced row-echelon form is assembled. Columns that never interact are split
-into independent blocks first, a large win on the very sparse symbol matrices
-built elsewhere in this package.
+The core has one representation, Gaussian-integer pair rows: sparse dicts
+column -> ``(re, im)`` of ints. Scaling a row keeps its span, kernel and rank,
+and scaling all rows by one factor keeps every relation between them, so
+assemblers emit integer rows times one denominator and no fraction reaches
+the elimination. That is fraction-free (cross-multiplication updates plus
+content stripping) on independent column blocks, a large win on the very
+sparse symbol matrices built elsewhere in this package: ``int_pivot_cols``
+gives the column rank profile, ``int_kernel_rows`` the kernel, and a
+:class:`RowFactor` reduces one matrix once for many data. A
+:class:`SubspaceBasis` keeps its canonical reduced-row-echelon basis as
+integer rows over one least denominator, so two equal subspaces always
+produce bit-identical bases.
 
-Two kinds of entry point share that core:
-
-* GaussRational rows (sparse dicts of :class:`GaussRational`): ``rref_rows``,
-  ``rank_rows``, ``kernel_rows`` and ``solve_rows``, plus ``inverse`` of an
-  :class:`ExactMatrix` and the canonical bases of :class:`SubspaceBasis`. Each
-  row is scaled to Gaussian integers on entry. ``solve_rows`` reads its answers
-  from a :class:`RowFactor`, which callers solving one matrix for many data keep.
-* Gaussian-integer pair rows (sparse dicts of ``(re, im)`` int pairs), for
-  assemblers that already produce integers: ``to_int_rows`` makes them from
-  GaussRational vectors, ``int_pivot_cols`` returns the column rank profile
-  by forward elimination only, and ``int_kernel_rows`` the kernel.
-
-Subspaces are stored through their canonical reduced-row-echelon bases with
-pivot columns ascending, so two equal subspaces always produce bit-identical
-bases.
+:class:`GaussRational` is the API edge: :class:`ExactMatrix`, ``inverse``,
+``SubspaceBasis.vectors`` and the thin conversions ``to_int_rows``,
+``rref_rows``, ``rank_rows``, ``kernel_rows`` and ``solve_rows``.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
+
+
+class InvariantViolation(RuntimeError):
+    """A relation the underlying theory guarantees failed to hold."""
 
 
 class GaussRational:
@@ -184,13 +182,6 @@ class ExactMatrix:
             out[r][c] = v
         return out
 
-    def column_maps(self) -> list:
-        """Per-column list of (row, value) pairs, rows ascending."""
-        cols = [[] for _ in range(self.cols)]
-        for (r, c), v in sorted(self.entries.items()):
-            cols[c].append((r, v))
-        return cols
-
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
@@ -213,13 +204,8 @@ class ExactMatrix:
             raise ValueError("shape mismatch")
         acc = dict(self.entries)
         for k, v in other.entries.items():
-            cur = acc.get(k)
-            s = v if cur is None else cur + v
-            if s:
-                acc[k] = s
-            elif cur is not None:
-                del acc[k]
-        return ExactMatrix(self.rows, self.cols, acc)
+            acc[k] = acc[k] + v if k in acc else v
+        return ExactMatrix(self.rows, self.cols, acc)  # drops cancelled entries
 
     def __eq__(self, other):
         return (
@@ -236,35 +222,48 @@ class ExactMatrix:
 
 
 # ---------------------------------------------------------------------------
-# elimination core (Gaussian-integer rows, fraction free)
+# Gaussian-integer rows and their conversions at the edge
 # ---------------------------------------------------------------------------
 
 
-def _to_int_row(vec: Mapping) -> dict:
-    """Scale a GaussRational vector to Gaussian-integer pairs (row scaling is
-    harmless for row spaces, kernels and ranks)."""
+def _ints(vectors: Sequence[Mapping]):
+    """(rows, den): GaussRational vectors as Gaussian-integer pair rows times
+    1/den, with den the least common denominator of all their entries."""
     den = 1
-    for v in vec.values():
-        den = lcm(den, v.re.denominator, v.im.denominator)
-    out = {}
-    for c, v in vec.items():
-        if v:
-            out[c] = (int(v.re * den), int(v.im * den))
-    return out
+    for vec in vectors:
+        for v in vec.values():
+            den = lcm(den, v.re.denominator, v.im.denominator)
+    rows = [
+        {
+            c: (v.re.numerator * (den // v.re.denominator),
+                v.im.numerator * (den // v.im.denominator))
+            for c, v in vec.items()
+            if v
+        }
+        for vec in vectors
+    ]
+    return rows, den
 
 
 def to_int_rows(vectors: Sequence[Mapping]) -> list:
     """Scale GaussRational vectors by one common denominator to Gaussian-integer
     pairs. The scaling is uniform, so it keeps kernels and linear relations
     between the vectors as well as their span."""
-    den = 1
-    for vec in vectors:
-        for v in vec.values():
-            den = lcm(den, v.re.denominator, v.im.denominator)
-    return [
-        {c: (int(v.re * den), int(v.im * den)) for c, v in vec.items() if v}
-        for vec in vectors
-    ]
+    return _ints(vectors)[0]
+
+
+def _rationals(row: Mapping, den: int) -> dict:
+    """The GaussRational vector row / den of a Gaussian-integer row."""
+    return {c: GaussRational(Fraction(a, den), Fraction(b, den)) for c, (a, b) in row.items()}
+
+
+def _scaled(row: dict, m: int) -> dict:
+    return row if m == 1 else {c: (a * m, b * m) for c, (a, b) in row.items()}
+
+
+# ---------------------------------------------------------------------------
+# elimination core (Gaussian-integer rows, fraction free)
+# ---------------------------------------------------------------------------
 
 
 def _strip(row: dict) -> None:
@@ -322,15 +321,6 @@ def _axpy(target: dict, source: dict, u, v) -> None:
     _strip(target)
 
 
-def _pivot_key(rows):
-    def key(rid):
-        row = rows[rid]
-        # prefer unit pivots (no rescaling pass), then sparse rows
-        return (len(row), rid)
-
-    return key
-
-
 def _eliminate(rows: dict, reduced: bool, pivot_limit=None):
     """Gauss-Jordan (reduced=True) or forward Gauss (reduced=False) on the
     given rows, processing columns in ascending order.
@@ -344,7 +334,6 @@ def _eliminate(rows: dict, reduced: bool, pivot_limit=None):
             occ.setdefault(c, set()).add(rid)
     pivots = []
     in_pivot = set()
-    key = _pivot_key(rows)
     for col in sorted(occ):
         if pivot_limit is not None and col >= pivot_limit:
             continue
@@ -352,7 +341,7 @@ def _eliminate(rows: dict, reduced: bool, pivot_limit=None):
         cand = [r for r in holders if r not in in_pivot]
         if not cand:
             continue
-        piv = min(cand, key=key)
+        piv = min(cand, key=lambda r: (len(rows[r]), r))  # sparsest row first
         src = rows[piv]
         u = src[col]
         targets = holders if reduced else cand
@@ -406,44 +395,40 @@ def _components(rows: Sequence[Mapping]):
         root = find(next(iter(row)))
         groups.setdefault(root, []).append(i)
     # deterministic order: by smallest column in the component
-    def group_min(ids):
-        return min(min(rows[i]) for i in ids)
-
-    return sorted(groups.values(), key=group_min)
+    return sorted(groups.values(), key=lambda ids: min(min(rows[i]) for i in ids))
 
 
-def _normalise(rows: dict, pivots) -> list:
-    """Turn stripped integer pivot rows into GaussRational rows with pivot 1."""
-    out = []
-    for col, rid in pivots:
-        row = rows[rid]
-        pa, pb = row[col]
-        norm = pa * pa + pb * pb
-        vec = {}
-        for c, (a, b) in row.items():
-            re = Fraction(a * pa + b * pb, norm)
-            im = Fraction(b * pa - a * pb, norm)
-            if re or im:
-                vec[c] = GaussRational(re, im)
-        out.append((col, vec))
-    return out
+def _normalise(row: dict, col) -> tuple:
+    """(out, d) with out / d = row / row[col] and d > 0 least: the row with
+    pivot 1 at ``col``, as Gaussian integers over its own least denominator."""
+    pa, pb = row[col]
+    g = norm = pa * pa + pb * pb
+    out = {c: (a * pa + b * pb, b * pa - a * pb) for c, (a, b) in row.items()}
+    for a, b in out.values():
+        if g == 1:
+            break
+        g = gcd(g, a, b)
+    if g > 1:
+        out = {c: (a // g, b // g) for c, (a, b) in out.items()}
+    return out, norm // g
 
 
-def _rref_int_rows(int_rows: Sequence[dict]):
-    """Canonical reduced echelon data for integer-pair rows.
+def _rref(int_rows: Sequence[dict]):
+    """Canonical reduced echelon form of Gaussian-integer rows.
 
-    Returns (pivot_cols ascending, normalised GaussRational rows aligned with
-    the pivots). Independent column blocks are reduced separately; their
-    reduced rows have disjoint support, so merging sorted by pivot keeps the
-    global form canonical.
+    Returns (rows, den, pivot_cols): the reduced rows times their least common
+    denominator den, aligned with the pivot columns ascending. Independent
+    column blocks are reduced separately; their reduced rows have disjoint
+    support, so merging sorted by pivot keeps the form canonical.
     """
     merged = []
     for group in _components(int_rows):
         rows = {i: dict(int_rows[i]) for i in group}
         pivots = _eliminate(rows, reduced=True)
-        merged.extend(_normalise(rows, pivots))
+        merged.extend((col, *_normalise(rows[rid], col)) for col, rid in pivots)
     merged.sort(key=lambda item: item[0])
-    return [c for c, _ in merged], [vec for _, vec in merged]
+    den = lcm(*(d for _, _, d in merged))
+    return [_scaled(row, den // d) for _, row, d in merged], den, [c for c, _, _ in merged]
 
 
 def rref_rows(vectors: Sequence[Mapping]):
@@ -452,7 +437,8 @@ def rref_rows(vectors: Sequence[Mapping]):
     Returns (pivot_cols, rows) with pivot columns ascending, pivot entries 1
     and pivot columns cleared elsewhere; dependent input rows simply drop out.
     """
-    return _rref_int_rows([_to_int_row(v) for v in vectors])
+    rows, den, pivots = _rref(to_int_rows(vectors))
+    return pivots, [_rationals(row, den) for row in rows]
 
 
 def int_pivot_cols(int_rows: Sequence[dict]) -> list:
@@ -471,71 +457,98 @@ def int_pivot_cols(int_rows: Sequence[dict]) -> list:
     return cols
 
 
+def _projected_ranks(rows: Sequence[dict], projections) -> tuple:
+    """Rank of the image of Gaussian-integer rows under each projection, a
+    map from a row to its image row."""
+    return tuple(len(int_pivot_cols([proj(row) for row in rows])) for proj in projections)
+
+
 def rank_rows(vectors: Sequence[Mapping]) -> int:
     """Rank of sparse GaussRational rows (forward elimination only)."""
-    return len(int_pivot_cols([_to_int_row(v) for v in vectors]))
+    return len(int_pivot_cols(to_int_rows(vectors)))
 
 
 def int_kernel_rows(int_rows: Sequence[dict], ncols: int) -> "SubspaceBasis":
-    """Canonical basis of the joint kernel of Gaussian-integer pair rows."""
-    pivot_cols, rows = _rref_int_rows(int_rows)
-    if pivot_cols and pivot_cols[-1] >= ncols:
-        raise ValueError("row support exceeds stated column count")
-    pivot_set = set(pivot_cols)
+    """Canonical basis of the joint kernel of Gaussian-integer pair rows.
+
+    One Gauss-Jordan per column block, with the columns taken in descending
+    order, leaves each pivot row with its pivot p at its largest column. For a
+    free column f, the vector with 1 at f and -row_p[f] / row_p[p] at each
+    pivot p has its leading 1 at f and zeros at the other free columns, so
+    these vectors already are the canonical basis. They are read off a
+    transpose mapping each free column to its (pivot, entry) pairs.
+    """
+    top = ncols - 1
+    den, pivot_cols, by_free = 1, set(), {}
+    for group in _components(int_rows):
+        rows = {i: {top - c: v for c, v in int_rows[i].items()} for i in group}
+        pivots = _eliminate(rows, reduced=True)
+        if pivots[0][0] < 0:
+            raise ValueError("row support exceeds stated column count")
+        for col, rid in pivots:
+            row, d = _normalise(rows[rid], col)
+            den = lcm(den, d)
+            del row[col]
+            pivot_cols.add(top - col)
+            for c, v in row.items():
+                by_free.setdefault(top - c, []).append((top - col, v, d))
+    free = [f for f in range(ncols) if f not in pivot_cols]
     vecs = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        vec = {f: ONE}
-        for pc, row in zip(pivot_cols, rows):
-            val = row.get(f)
-            if val is not None:
-                vec[pc] = -val
+    for f in free:
+        vec = {f: (den, 0)}
+        for p, (a, b), d in by_free.get(f, ()):
+            m = den // d
+            vec[p] = (-a * m, -b * m)
         vecs.append(vec)
-    return SubspaceBasis.from_vectors(ncols, vecs)
+    return SubspaceBasis(ncols, vecs, den, free, _trusted=True)
 
 
 def kernel_rows(vectors: Sequence[Mapping], ncols: int) -> "SubspaceBasis":
     """Canonical basis of the joint kernel {x : row . x = 0 for all rows}."""
-    return int_kernel_rows([_to_int_row(v) for v in vectors], ncols)
+    return int_kernel_rows(to_int_rows(vectors), ncols)
 
 
 class RowFactor:
-    """Rows reduced once on their first ``ncols`` columns, solved for many data.
+    """Gaussian-integer rows reduced once on their first ``ncols`` columns,
+    solved for many data.
 
-    Split each row as (a, d) at column ``ncols``. ``solve(x)`` takes data x over
-    the columns from ``ncols`` on and returns h over the first ``ncols`` with
-    a . h = d . x for every row and free coordinates zero, or None when no such
-    h exists; ``rank`` is the rank of the a block.
+    Split each row as (a, d) at column ``ncols``. ``solve(x)`` takes
+    GaussRational data x over the columns from ``ncols`` on and returns h over
+    the first ``ncols`` with a . h = d . x for every row and free coordinates
+    zero, or None when no such h exists; ``rank`` is the rank of the a block.
+    Scaling a row changes neither, so rows may carry any denominator.
     """
 
-    __slots__ = ("rank", "_cols")
+    __slots__ = ("rank", "_cols", "_den")
 
-    def __init__(self, rows: Sequence[Mapping], ncols: int):
-        int_rows = {i: _to_int_row(r) for i, r in enumerate(rows)}
+    def __init__(self, rows: Sequence[dict], ncols: int):
+        int_rows = {i: dict(r) for i, r in enumerate(rows)}
         pivots = _eliminate(int_rows, reduced=True, pivot_limit=ncols)
+        reduced = [(pc, *_normalise(int_rows[rid], pc)) for pc, rid in pivots]
         self.rank, self._cols = len(pivots), {}
+        self._den = lcm(*(d for _, _, d in reduced))
         # pivot rows keep a tail in the data columns, the others lie only there:
-        # data column -> [(pivot column, tail entry) or (-1 - row id, entry)]
-        for pc, vec in _normalise(int_rows, pivots):
-            for c, v in vec.items():
+        # data column -> [(pivot column, tail entry times _den) or (-1 - row id, entry)]
+        for pc, row, d in reduced:
+            m = self._den // d
+            for c, (a, b) in row.items():
                 if c >= ncols:
-                    self._cols.setdefault(c, []).append((pc, v))
+                    self._cols.setdefault(c, []).append((pc, (a * m, b * m)))
         for rid in set(int_rows) - {rid for _, rid in pivots}:
-            for c, (a, b) in int_rows[rid].items():
-                self._cols.setdefault(c, []).append((-1 - rid, GaussRational(a, b)))
+            for c, v in int_rows[rid].items():
+                self._cols.setdefault(c, []).append((-1 - rid, v))
 
     def solve(self, x: Mapping):
+        (data,), den = _ints([x])
         acc = {}
-        for c, v in x.items():
-            unit = v == ONE
-            for key, w in self._cols.get(c, ()):
-                w = w if unit else v * w
+        for c, (xa, xb) in data.items():
+            for key, (wa, wb) in self._cols.get(c, ()):
+                re, im = xa * wa - xb * wb, xa * wb + xb * wa
                 cur = acc.get(key)
-                acc[key] = w if cur is None else cur + w
-        if any(v for key, v in acc.items() if key < 0):
+                acc[key] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+        if any(a or b for key, (a, b) in acc.items() if key < 0):
             return None
-        return {pc: v for pc, v in acc.items() if v}
+        return _rationals({pc: v for pc, v in acc.items() if v != (0, 0)}, den * self._den)
 
 
 def solve_rows(rows: Sequence[Mapping], ncols: int, rhs: Sequence[Mapping]):
@@ -551,7 +564,7 @@ def solve_rows(rows: Sequence[Mapping], ncols: int, rhs: Sequence[Mapping]):
         for ri, val in b.items():
             if val:
                 aug[ri][ncols + j] = val
-    factor = RowFactor(aug, ncols)
+    factor = RowFactor(to_int_rows(aug), ncols)
     return [factor.solve({ncols + j: ONE}) for j in range(len(rhs))], factor.rank
 
 
@@ -588,18 +601,21 @@ def _as_sparse_vec(v) -> dict:
 class SubspaceBasis:
     """A subspace given by its canonical reduced-row-echelon basis.
 
-    ``vectors`` are sparse rows with pivot columns ascending and pivot value 1;
-    equal subspaces therefore produce identical objects. Construct through
+    The basis has pivot columns ascending and pivot value 1. It is stored as
+    Gaussian-integer pair ``rows``, the basis times ``den``, the least common
+    denominator of its entries, so equal subspaces produce identical objects;
+    ``vectors`` gives the same basis as GaussRational rows. Construct through
     :meth:`from_vectors`, which canonicalises any spanning set.
     """
 
-    __slots__ = ("ambient_dim", "vectors", "pivots")
+    __slots__ = ("ambient_dim", "rows", "den", "pivots")
 
-    def __init__(self, ambient_dim: int, vectors, pivots, _trusted=False):
+    def __init__(self, ambient_dim: int, rows, den, pivots, _trusted=False):
         if not _trusted:
             raise TypeError("use SubspaceBasis.from_vectors")
         self.ambient_dim = ambient_dim
-        self.vectors = vectors
+        self.rows = rows
+        self.den = den
         self.pivots = pivots
 
     @classmethod
@@ -611,25 +627,22 @@ class SubspaceBasis:
                 if not 0 <= c < ambient_dim:
                     raise ValueError("coordinate outside ambient space")
             as_dicts.append(vec)
-        pivots, rows = rref_rows(as_dicts)
-        return cls(ambient_dim, rows, pivots, _trusted=True)
+        return cls(ambient_dim, *_rref(to_int_rows(as_dicts)), _trusted=True)
+
+    @property
+    def vectors(self) -> list:
+        return [_rationals(row, self.den) for row in self.rows]
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return len(self.rows)
 
     def contains(self, vector) -> bool:
-        vec = _as_sparse_vec(vector)
-        for pc, row in zip(self.pivots, self.vectors):
+        vec = to_int_rows([_as_sparse_vec(vector)])[0]
+        for pc, row in zip(self.pivots, self.rows):
             coeff = vec.get(pc)
-            if coeff is None or not coeff:
-                continue
-            for c, v in row.items():
-                cur = vec.get(c, ZERO) - coeff * v
-                if cur:
-                    vec[c] = cur
-                elif c in vec:
-                    del vec[c]
+            if coeff is not None:
+                _axpy(vec, row, row[pc], coeff)
         return not vec
 
     def __eq__(self, other):
@@ -637,7 +650,8 @@ class SubspaceBasis:
             isinstance(other, SubspaceBasis)
             and self.ambient_dim == other.ambient_dim
             and self.pivots == other.pivots
-            and self.vectors == other.vectors
+            and self.den == other.den
+            and self.rows == other.rows
         )
 
     def __repr__(self):

@@ -19,20 +19,27 @@ from math import comb
 
 from .clifford import CliffordRep, build_spinor_rep
 from .euclidean import EuclideanSystem, HALF, level1_ordering, require_monogenic
-from .linalg import GaussRational, SubspaceBasis, ZERO, kernel_rows, rank_rows
+from .linalg import (
+    ExactMatrix,
+    GaussRational,
+    InvariantViolation,
+    SubspaceBasis,
+    ZERO,
+    _projected_ranks,
+    kernel_rows,
+    rank_rows,
+)
 from .polynomials import (
     DiffOp,
     SpinorPoly,
     VariableSet,
     apply_op,
-    identity_matrix,
     monomial_basis,
     scalar_multiply,
     solution_space,
     solve_correction,
 )
 from .tableau import (
-    InvariantViolation,
     OrderedBasis,
     Tableau,
     cartan_test,
@@ -54,7 +61,7 @@ class ParabolicSystem:
         names += [f"y_{r}_{t}" for r, t in self.y_pairs]
         weights = [1] * (n * k) + [2] * len(self.y_pairs)
         self.vars = VariableSet.of(names, weights)
-        ident = identity_matrix(s)
+        ident = ExactMatrix.identity(s)
         self.lfields = [
             DiffOp(self.vars, s, self._field_terms(a, i, ident))
             for a in range(1, n + 1)
@@ -123,7 +130,7 @@ class ParabolicSystem:
             raise ValueError("the skew derivative vanishes on the diagonal")
         one = {self._zero_exp(): GaussRational(1 if i < j else -1)}
         var = self.y_index(min(i, j), max(i, j))
-        return DiffOp(self.vars, self.s, [(one, var, identity_matrix(self.s))])
+        return DiffOp(self.vars, self.s, [(one, var, ExactMatrix.identity(self.s))])
 
     def euclidean(self) -> EuclideanSystem:
         if self._euclidean is None:
@@ -163,6 +170,7 @@ class ParabolicSystem:
                     rows.append(row)
             basis = kernel_rows(rows, self.dim_V * self.s)
             self._tableau = Tableau(self.dim_V, self.s, basis)
+            self._tableau.system = f"p({self.n},{self.k})"
         return self._tableau
 
 
@@ -174,7 +182,8 @@ def build_parabolic(n: int, k: int) -> ParabolicSystem:
     expected = k * (n - 1) * sys.s + comb(k, 2) * sys.s
     got = sys.tableau().dim
     if got != expected:
-        raise InvariantViolation(f"symbol tableau dimension {got} != {expected}")
+        raise InvariantViolation(f"p({n},{k}) level 0: symbol tableau dimension "
+                                 f"{got} != {expected} = k (n-1) s + C(k,2) s")
     return sys
 
 
@@ -197,7 +206,7 @@ def check_bracket_identity(sys: ParabolicSystem, max_weighted_degree: int) -> No
                     expected = SpinorPoly.zero(sys.vars, s)
                 if got != expected:
                     raise InvariantViolation(
-                        f"bracket identity fails for L_{a}{i}, L_{b}{j}"
+                        f"p({n},{k}): bracket identity fails for L_{a}{i}, L_{b}{j}"
                     )
 
 
@@ -224,10 +233,8 @@ def parabolic_level1_ordering(sys: ParabolicSystem) -> OrderedBasis:
     dim = sys.dim_V
     rows = [[0] * dim for _ in range(dim)]
     rows[0][sys.y_index(1, 2)] = GaussRational(1)
-    for r in range(euclid_rows.rows):
-        for (rr, cc), v in euclid_rows.entries.items():
-            if rr == r:
-                rows[r + 1][cc] = v
+    for (r, c), v in euclid_rows.entries.items():
+        rows[r + 1][c] = v
     return OrderedBasis.from_rows(rows, "paper")
 
 
@@ -271,16 +278,10 @@ def level1_rhs_formula(n: int, s: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _graded_ranks(vectors, grade_of, grades):
-    buckets = {g: [] for g in grades}
-    for vec in vectors:
-        parts = {g: {} for g in grades}
-        for coord, val in vec.items():
-            parts[grade_of(coord)][coord] = val
-        for g in grades:
-            if parts[g]:
-                buckets[g].append(parts[g])
-    return tuple(rank_rows(buckets[g]) for g in grades)
+def _grade_part(grade, ambient_dim, g):
+    """The projection of a row onto the coordinates of grade g."""
+    keep = {c for c in range(ambient_dim) if grade(c) == g}
+    return lambda row: {c: v for c, v in row.items() if c in keep}
 
 
 def parabolic_prolongation_decomposition(sys: ParabolicSystem):
@@ -301,9 +302,13 @@ def parabolic_prolongation_decomposition(sys: ParabolicSystem):
         c1, c2 = divmod(pair, dim_V)
         return (c1 >= nk) + (c2 >= nk)
 
-    dims = _graded_ranks(raw.vectors, grade, (0, 1, 2))
+    dims = _projected_ranks(
+        raw.rows, [_grade_part(grade, raw.ambient_dim, g) for g in (0, 1, 2)]
+    )
     if sum(dims) != p.dim:
-        raise InvariantViolation("graded split of the prolongation does not add up")
+        raise InvariantViolation(
+            f"p({sys.n},{sys.k}) level 1: graded split does not add up: "
+            f"{' + '.join(map(str, dims))} != {p.dim} = dim A^(1)")
     return dims
 
 
@@ -317,7 +322,7 @@ def parabolic_second_decomposition(sys: ParabolicSystem):
     nk = sys.n * sys.k
     dim_V, s = sys.dim_V, sys.s
     expanded = expand_coefficients(
-        expand_coefficients(p2.lifted.basis.vectors, p1.lifted), t0
+        expand_coefficients(p2.lifted.basis.rows, p1.lifted), t0
     )
 
     def grade(coord):
@@ -326,9 +331,14 @@ def parabolic_second_decomposition(sys: ParabolicSystem):
         iV, jV = divmod(pair, dim_V)
         return (iV >= nk) + (jV >= nk) + (kV >= nk)
 
-    dims = _graded_ranks(expanded, grade, (0, 1, 2, 3))
+    ambient = dim_V**3 * s
+    dims = _projected_ranks(
+        expanded, [_grade_part(grade, ambient, g) for g in (0, 1, 2, 3)]
+    )
     if sum(dims) != p2.dim:
-        raise InvariantViolation("graded split of the second prolongation is off")
+        raise InvariantViolation(
+            f"p({sys.n},{sys.k}) level 2: graded split does not add up: "
+            f"{' + '.join(map(str, dims))} != {p2.dim} = dim A^(2)")
     return dims
 
 
@@ -340,19 +350,17 @@ def parabolic_second_decomposition(sys: ParabolicSystem):
 def y_free_dim(sys: ParabolicSystem, r: int) -> int:
     """Dimension of the y-independent part of the weighted-degree-r slice."""
     basis = sys.weighted_monogenic_space(r)
-    monos = monomial_basis(sys.vars, r)
-    nk = sys.n * sys.k
-    y_cols = set()
-    for idx, exps in enumerate(monos):
-        if any(exps[nk:]):
-            for mu in range(sys.s):
-                y_cols.add(idx * sys.s + mu)
-    proj = []
-    for vec in basis.vectors:
-        p = {c: v for c, v in vec.items() if c in y_cols}
-        if p:
-            proj.append(p)
-    return basis.dim - rank_rows(proj)
+    nk, s = sys.n * sys.k, sys.s
+    y_cols = {
+        idx * s + mu
+        for idx, exps in enumerate(monomial_basis(sys.vars, r))
+        if any(exps[nk:])
+        for mu in range(s)
+    }
+    (rank,) = _projected_ranks(
+        basis.rows, [lambda row: {c: v for c, v in row.items() if c in y_cols}]
+    )
+    return basis.dim - rank
 
 
 def _validate_lift_inputs(sys, psi, g):
@@ -454,7 +462,7 @@ def two_jet_fiber_dim(sys: ParabolicSystem) -> int:
             if not m.is_zero():
                 brackets[(a, b)] = m
 
-    rows = {}
+    rows = []
     for i in range(1, k + 1):
         for j in range(1, k + 1):
             for mu in range(s):
@@ -465,23 +473,12 @@ def two_jet_fiber_dim(sys: ParabolicSystem) -> int:
                             continue
                         p = slot_idx[(a, i)]
                         q = slot_idx[(b, j)]
-                        key = pair_idx[(p, q) if p <= q else (q, p)]
-                        col = key * s + cc
-                        cur = row.get(col, ZERO) + val
-                        if cur:
-                            row[col] = cur
-                        elif col in row:
-                            del row[col]
+                        col = pair_idx[(p, q) if p <= q else (q, p)] * s + cc
+                        row[col] = row.get(col, ZERO) + val
                 if i != j:
                     sign = 1 if j < i else -1
                     vp = v_pairs.index((j, i) if j < i else (i, j))
                     col = a_cols + vp * s + mu
-                    coeff = GaussRational(sign * (n - 2))
-                    cur = row.get(col, ZERO) + coeff
-                    if cur:
-                        row[col] = cur
-                    elif col in row:
-                        del row[col]
-                if row:
-                    rows[(i, j, mu)] = row
-    return ncols - rank_rows(list(rows.values()))
+                    row[col] = row.get(col, ZERO) + sign * (n - 2)
+                rows.append({c: v for c, v in row.items() if v})
+    return ncols - rank_rows(rows)

@@ -10,19 +10,25 @@ A differential operator is a sum of terms (coefficient polynomial) *
 (coordinate derivative) * (spinor matrix). Homogeneous operators shift the
 weighted degree by a fixed amount; ``solution_space`` exploits that to reduce
 "all weighted-degree-r solutions" to one exact kernel computation.
+
+Coefficients are GaussRational at the interface. Inside, each operator keeps
+one term table of Gaussian-integer pairs over one denominator: ``apply_op``
+accumulates over it in integers, and the coefficient matrices it assembles
+are Gaussian-integer rows for the elimination core.
 """
 
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .linalg import (
-    ExactMatrix,
     GaussRational,
     RowFactor,
     SubspaceBasis,
     ZERO,
-    kernel_rows,
-    rank_rows,
+    _ints,
+    _rationals,
+    int_kernel_rows,
+    int_pivot_cols,
 )
 
 Exponents = tuple
@@ -132,13 +138,8 @@ class SpinorPoly:
         self._check_compatible(other)
         acc = dict(self.coeffs)
         for key, v in other.coeffs.items():
-            cur = acc.get(key)
-            s = v if cur is None else cur + v
-            if s:
-                acc[key] = s
-            elif cur is not None:
-                del acc[key]
-        return SpinorPoly(self.vars, self.spinor_dim, acc)
+            acc[key] = acc[key] + v if key in acc else v
+        return SpinorPoly(self.vars, self.spinor_dim, acc)  # drops cancelled terms
 
     def __sub__(self, other: "SpinorPoly") -> "SpinorPoly":
         return self + other.scaled(GaussRational(-1))
@@ -192,12 +193,8 @@ def scalar_multiply(poly: Mapping, psi: SpinorPoly) -> SpinorPoly:
             pval = GaussRational(pval)
         for (exps, mu), v in psi.coeffs.items():
             key = (tuple(a + b for a, b in zip(exps, pexp)), mu)
-            cur = acc.get(key, ZERO) + pval * v
-            if cur:
-                acc[key] = cur
-            elif key in acc:
-                del acc[key]
-    return SpinorPoly(psi.vars, psi.spinor_dim, acc)
+            acc[key] = acc.get(key, ZERO) + pval * v
+    return SpinorPoly(psi.vars, psi.spinor_dim, acc)  # drops cancelled terms
 
 
 class DiffOp:
@@ -205,84 +202,79 @@ class DiffOp:
 
     Coefficient polynomials are sparse maps exponent-tuple -> scalar; each
     matrix acts on the spinor index after differentiation and multiplication.
+    ``apply_op`` and the coefficient matrices of ``_constraint_rows`` both read
+    one term table: per (variable, coefficient monomial), the spinor columns
+    mu -> [(nu, coefficient times matrix entry)] as Gaussian-integer pairs,
+    all scaled by one denominator ``_den``.
     """
 
-    __slots__ = ("vars", "spinor_dim", "terms", "_term_data")
+    __slots__ = ("vars", "spinor_dim", "_table", "_den")
 
     def __init__(self, vars: VariableSet, spinor_dim: int, terms: Sequence):
         self.vars = vars
         self.spinor_dim = spinor_dim
-        normalised = []
-        data = []
+        products = {}
         for coeff, var, matrix in terms:
             if not 0 <= var < len(vars):
                 raise ValueError("derivative variable out of range")
             if matrix.rows != spinor_dim or matrix.cols != spinor_dim:
                 raise ValueError("matrix size must match the spinor dimension")
-            if matrix.is_zero():
-                continue
-            cleaned = {}
-            for exps, v in coeff.items():
-                if not isinstance(v, GaussRational):
-                    v = GaussRational(v)
-                if v:
-                    cleaned[tuple(exps)] = v
-            if not cleaned:
-                continue
-            normalised.append((cleaned, var, matrix))
-            data.append((cleaned, var, matrix.column_maps()))
-        self.terms = tuple(normalised)
-        self._term_data = tuple(data)
+            for cexp, cval in coeff.items():
+                for (nu, mu), mval in matrix.entries.items():
+                    key = (var, tuple(cexp), mu, nu)
+                    products[key] = products.get(key, ZERO) + mval * cval
+        (products,), self._den = _ints([products])
+        table = {}
+        for (var, cexp, mu, nu), v in sorted(products.items()):
+            cols = table.setdefault((var, cexp), [[] for _ in range(spinor_dim)])
+            cols[mu].append((nu, v))
+        self._table = tuple((var, cexp, cols) for (var, cexp), cols in table.items())
 
     def weighted_shift(self) -> int:
         """The common weighted-degree shift of all terms.
 
-        Raises ValueError when a coefficient is weighted-inhomogeneous or when
-        two terms shift the grading differently.
+        Raises ValueError when terms shift the grading differently (as the
+        monomials of a weighted-inhomogeneous coefficient do) or when there
+        is no term.
         """
-        shift = None
-        for coeff, var, _ in self.terms:
-            degs = {self.vars.weighted_degree(e) for e in coeff}
-            if len(degs) > 1:
-                raise ValueError("coefficient polynomial is not weighted homogeneous")
-            term_shift = degs.pop() - self.vars.weights[var]
-            if shift is None:
-                shift = term_shift
-            elif shift != term_shift:
-                raise ValueError("operator mixes weighted-degree shifts")
-        if shift is None:
-            raise ValueError("empty operator has no defined shift")
-        return shift
+        shifts = {
+            self.vars.weighted_degree(cexp) - self.vars.weights[var]
+            for var, cexp, _ in self._table
+        }
+        if len(shifts) != 1:
+            raise ValueError("operator has no single weighted-degree shift")
+        return shifts.pop()
+
+
+def _lowered(exps, var, cexp):
+    """The exponents of d/d(var) applied to x^exps, times x^cexp."""
+    out = [a + b for a, b in zip(exps, cexp)]
+    out[var] -= 1
+    return tuple(out)
 
 
 def apply_op(op: DiffOp, p: SpinorPoly) -> SpinorPoly:
     """Exact application: differentiate, multiply by the coefficient, then act
-    on the spinor index. Linear in ``p``."""
+    on the spinor index. Linear in ``p``. Accumulates over Gaussian integers
+    and divides by the common denominator once at the end."""
     if op.vars != p.vars or op.spinor_dim != p.spinor_dim:
         raise ValueError("operator and polynomial live on different spaces")
+    (coeffs,), den = _ints([p.coeffs])
     acc = {}
-    for coeff, var, cols in op._term_data:
-        for (exps, mu), v in p.coeffs.items():
+    for var, cexp, cols in op._table:
+        for (exps, mu), (xa, xb) in coeffs.items():
             e = exps[var]
-            if not e:
+            if not e or not cols[mu]:
                 continue
-            column = cols[mu]
-            if not column:
-                continue
-            base = list(exps)
-            base[var] -= 1
-            scaled = v * e
-            for cexp, cval in coeff.items():
-                shifted = tuple(a + b for a, b in zip(base, cexp))
-                factor = scaled * cval
-                for nu, mval in column:
-                    key = (shifted, nu)
-                    cur = acc.get(key, ZERO) + factor * mval
-                    if cur:
-                        acc[key] = cur
-                    elif key in acc:
-                        del acc[key]
-    return SpinorPoly(p.vars, p.spinor_dim, acc)
+            shifted = _lowered(exps, var, cexp)
+            xa, xb = xa * e, xb * e
+            for nu, (ma, mb) in cols[mu]:
+                key = (shifted, nu)
+                re, im = xa * ma - xb * mb, xa * mb + xb * ma
+                cur = acc.get(key)
+                acc[key] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+    out = {key: v for key, v in acc.items() if v != (0, 0)}
+    return SpinorPoly(p.vars, p.spinor_dim, _rationals(out, den * op._den))
 
 
 def _constraint_rows(
@@ -292,12 +284,16 @@ def _constraint_rows(
     weighted_degree: int,
     monos=None,
 ):
-    """Stacked coefficient matrix of the ops on the weighted-degree slice.
+    """Stacked coefficient matrix of the ops on the weighted-degree slice, as
+    Gaussian-integer pair rows.
 
-    Rows are indexed by (operator slot, target monomial, spinor component),
-    columns by (source monomial, spinor component) with the spinor index
-    minor. The source monomials are ``monos`` in the given order, by default
-    the whole ``monomial_basis`` of the degree. Returns (rows, ncols).
+    Rows come in blocks, one per operator, indexed by (target monomial,
+    spinor component) within the block; each block is the operator's matrix
+    times its table denominator, a row scaling that keeps kernels, ranks and
+    solutions. Columns are indexed by (source monomial, spinor component) with
+    the spinor index minor. The source monomials are ``monos`` in the given
+    order, by default the whole ``monomial_basis`` of the degree. Returns
+    (rows, ncols); rows with no entry are kept, so row ids stay positional.
     """
     shifts = []
     for op in ops:
@@ -308,35 +304,33 @@ def _constraint_rows(
     if monos is None:
         monos = monomial_basis(vars, weighted_degree)
     ncols = len(monos) * spinor_dim
-    rows = {}
-    for slot, (op, shift) in enumerate(zip(ops, shifts)):
+    rows = []
+    for op, shift in zip(ops, shifts):
         target_deg = weighted_degree + shift
         if target_deg < 0:
             continue
         targets = {e: i for i, e in enumerate(monomial_basis(vars, target_deg))}
-        base_row = slot * len(targets) * spinor_dim
+        base_row = len(rows)
+        rows += [{} for _ in range(len(targets) * spinor_dim)]
         for m_idx, exps in enumerate(monos):
-            for coeff, var, cols in op._term_data:
+            for var, cexp, cols in op._table:
                 e = exps[var]
                 if not e:
                     continue
-                lowered = list(exps)
-                lowered[var] -= 1
-                for cexp, cval in coeff.items():
-                    shifted = tuple(a + b for a, b in zip(lowered, cexp))
-                    t_idx = targets[shifted]
-                    factor = cval * e
-                    for mu in range(spinor_dim):
-                        col = m_idx * spinor_dim + mu
-                        for nu, mval in cols[mu]:
-                            rid = base_row + t_idx * spinor_dim + nu
-                            row = rows.setdefault(rid, {})
-                            cur = row.get(col, ZERO) + factor * mval
-                            if cur:
-                                row[col] = cur
-                            elif col in row:
+                t_row = base_row + targets[_lowered(exps, var, cexp)] * spinor_dim
+                for mu, column in enumerate(cols):
+                    col = m_idx * spinor_dim + mu
+                    for nu, (a, b) in column:
+                        row = rows[t_row + nu]
+                        re, im = e * a, e * b
+                        cur = row.get(col)
+                        if cur is not None:
+                            re, im = re + cur[0], im + cur[1]
+                            if not (re or im):
                                 del row[col]
-    return list(rows.values()), ncols
+                                continue
+                        row[col] = (re, im)
+    return rows, ncols
 
 
 def solution_space(
@@ -348,7 +342,7 @@ def solution_space(
     ``monomial_basis`` order, spinor index minor.
     """
     rows, ncols = _constraint_rows(ops, vars, spinor_dim, weighted_degree)
-    return kernel_rows(rows, ncols)
+    return int_kernel_rows(rows, ncols)
 
 
 def solution_dim(
@@ -356,7 +350,7 @@ def solution_dim(
 ) -> int:
     """Dimension of the solution slice without materialising a basis."""
     rows, ncols = _constraint_rows(ops, vars, spinor_dim, weighted_degree)
-    return ncols - rank_rows(rows)
+    return ncols - len(int_pivot_cols(rows))
 
 
 def solve_correction(
@@ -408,7 +402,3 @@ def basis_polynomials(vars: VariableSet, spinor_dim: int, weighted_degree: int, 
     """Reconstruct SpinorPoly objects from solution-space coordinate vectors."""
     monos = monomial_basis(vars, weighted_degree)
     return [_as_poly(vars, spinor_dim, monos, vec) for vec in basis.vectors]
-
-
-def identity_matrix(spinor_dim: int) -> ExactMatrix:
-    return ExactMatrix.identity(spinor_dim)

@@ -14,9 +14,12 @@ is read off the column rank profile (the pivot columns) that forward
 elimination of the transformed basis gives. Characters are the filtration
 increments and the test compares dim A^(1) with s_1 + 2 s_2 + ... + n s_n.
 
-The constraint matrices of the prolongation and the transformed bases are
-assembled directly as Gaussian-integer pair rows for the elimination core;
-the ordering search scores its candidate covectors on the same rows.
+Everything here runs on Gaussian-integer pair rows: a tableau basis is a
+:class:`SubspaceBasis`, whose integer rows (the canonical basis times one
+denominator) feed the constraint matrix of the prolongation, the transformed
+bases of the filtration, the ordering search and the expansion of a
+prolongation into tensors. Uniform scaling keeps every kernel and rank, so
+no step needs the GaussRational view of a basis.
 """
 
 import random as _random
@@ -25,11 +28,13 @@ from dataclasses import dataclass
 from math import comb
 
 from .linalg import (
+    ONE,
     ExactMatrix,
     GaussRational,
+    InvariantViolation,
     SubspaceBasis,
-    ZERO,
     _axpy,
+    _rref,
     int_kernel_rows,
     int_pivot_cols,
     inverse,
@@ -38,12 +43,15 @@ from .linalg import (
 )
 
 
-class InvariantViolation(RuntimeError):
-    """A relation the underlying theory guarantees failed to hold."""
-
-
 class Tableau:
-    """Subspace of V* (x) W with dim_V * dim_W ambient coordinates."""
+    """Subspace of V* (x) W with dim_V * dim_W ambient coordinates.
+
+    ``system`` and ``level`` name it in failure messages: a system builder
+    sets the first, as "e(3,2)", and a prolongation raises the level by one.
+    """
+
+    system = "tableau"
+    level = 0
 
     def __init__(self, dim_V: int, dim_W: int, basis: SubspaceBasis):
         if basis.ambient_dim != dim_V * dim_W:
@@ -58,8 +66,6 @@ class Tableau:
 
     @classmethod
     def full(cls, dim_V: int, dim_W: int) -> "Tableau":
-        from .linalg import ONE
-
         vecs = [{c: ONE} for c in range(dim_V * dim_W)]
         return cls(dim_V, dim_W, SubspaceBasis.from_vectors(dim_V * dim_W, vecs))
 
@@ -94,8 +100,6 @@ class OrderedBasis:
         n = len(order)
         if sorted(order) != list(range(n)):
             raise ValueError("not a permutation")
-        from .linalg import ONE
-
         return cls(ExactMatrix(n, n, {(i, j): ONE for i, j in enumerate(order)}), label)
 
     def inverse_rows(self):
@@ -129,11 +133,12 @@ def _prolongation_rows(t: Tableau):
     of elements of V* (x) A: row (i<j, w) demands the (i,j,w) and (j,i,w)
     tensor entries agree. Columns are slot-major: col = i * dim(A) + p.
 
-    Each entry is plus or minus an entry of the basis scaled by one common
-    denominator, which scales every column alike and so keeps the kernel."""
+    Each entry is plus or minus an entry of the integer basis rows, the basis
+    scaled by one common denominator, which scales every column alike and so
+    keeps the kernel."""
     a = t.dim
     rows = {}
-    for p, vec in enumerate(to_int_rows(t.basis.vectors)):
+    for p, vec in enumerate(t.basis.rows):
         for coord, (re, im) in vec.items():
             j, w = divmod(coord, t.dim_W)
             for i in range(j):
@@ -154,6 +159,7 @@ class Prolongation:
     def __init__(self, source: Tableau, coefficients: SubspaceBasis):
         self.source = source
         self.lifted = Tableau(source.dim_V, source.dim, coefficients)
+        self.lifted.system, self.lifted.level = source.system, source.level + 1
         self._raw = None
 
     @property
@@ -165,35 +171,40 @@ class Prolongation:
         if self._raw is None:
             src = self.source
             ambient = src.dim_V * src.basis.ambient_dim
-            vecs = expand_coefficients(self.lifted.basis.vectors, src)
-            self._raw = SubspaceBasis.from_vectors(ambient, vecs)
+            rows = expand_coefficients(self.lifted.basis.rows, src)
+            self._raw = SubspaceBasis(ambient, *_rref(rows), _trusted=True)
         return self._raw
 
 
-def expand_coefficients(vectors, t: Tableau) -> list:
-    """Substitute the basis of ``t`` into coefficient vectors over V* (x) A.
+def expand_coefficients(rows, t: Tableau) -> list:
+    """Substitute the integer basis rows of ``t`` into Gaussian-integer
+    coefficient rows over V* (x) A.
 
     Input columns are slot-major, col = i * dim A + p; the output coordinate
     is i * N + c for the coordinate c of the ambient space (of dimension N)
-    of A. The slot index i is not bounded, so a vector over V* (x) V* (x) A
-    (slot pair (i, j) as i * dim V + j) expands alike.
+    of A. The slot index i is not bounded, so a row over V* (x) V* (x) A
+    (slot pair (i, j) as i * dim V + j) expands alike. Every output row is
+    scaled by the same denominator, that of the basis of ``t``.
     """
     a = t.dim
     ambient = t.basis.ambient_dim
-    basis = t.basis.vectors
+    basis = t.basis.rows
     out = []
-    for c in vectors:
+    for c in rows:
         x = {}
-        for col, lam in c.items():
+        for col, (la, lb) in c.items():
             i, p = divmod(col, a)
             offset = i * ambient
-            for coord, val in basis[p].items():
+            for coord, (va, vb) in basis[p].items():
                 key = offset + coord
-                cur = x.get(key, ZERO) + lam * val
-                if cur:
-                    x[key] = cur
-                elif key in x:
-                    del x[key]
+                re, im = la * va - lb * vb, la * vb + lb * va
+                cur = x.get(key)
+                if cur is not None:
+                    re, im = re + cur[0], im + cur[1]
+                    if not (re or im):
+                        del x[key]
+                        continue
+                x[key] = (re, im)
         out.append(x)
     return out
 
@@ -235,18 +246,16 @@ def _transformed_rows(t: Tableau, ob: OrderedBasis):
         raise ValueError("ordering size must match dim V*")
     inv = to_int_rows(ob.inverse_rows())
     out = []
-    for vec in to_int_rows(t.basis.vectors):
+    for vec in t.basis.rows:
         x = {}
         for coord, (a, b) in vec.items():
             j, w = divmod(coord, t.dim_W)
             for i, (qa, qb) in inv[j].items():
                 key = i * t.dim_W + w
-                re = qa * a - qb * b
-                im = qa * b + qb * a
+                re, im = qa * a - qb * b, qa * b + qb * a
                 cur = x.get(key)
                 if cur is not None:
-                    re += cur[0]
-                    im += cur[1]
+                    re, im = re + cur[0], im + cur[1]
                     if not (re or im):
                         del x[key]
                         continue
@@ -267,8 +276,14 @@ def filtration_dims(t: Tableau, ob: OrderedBasis) -> list:
         len(pivots) - bisect_left(pivots, k * t.dim_W) for k in range(1, t.dim_V + 1)
     ]
     if dims and dims[-1] != 0:
-        raise InvariantViolation("A_n must vanish")
+        raise InvariantViolation(
+            f"{_where(t, ob)}: A_n must vanish, dim A_{t.dim_V} = {dims[-1]} != 0"
+        )
     return dims
+
+
+def _where(t: Tableau, ob: OrderedBasis) -> str:
+    return f"{t.system} level {t.level}, ordering '{ob.label}'"
 
 
 def cartan_test(t: Tableau, ob: OrderedBasis = None, dim_prolongation_hint=None) -> CartanReport:
@@ -291,7 +306,7 @@ def cartan_test(t: Tableau, ob: OrderedBasis = None, dim_prolongation_hint=None)
     dim_p = dim_prolongation_hint if dim_prolongation_hint is not None else prolongation_dim(t)
     if dim_p > rhs:
         raise InvariantViolation(
-            f"Cartan bound violated: dim A^(1) = {dim_p} > {rhs} = rhs"
+            f"{_where(t, ob)}: Cartan bound violated: dim A^(1) = {dim_p} > {rhs} = rhs"
         )
     return CartanReport(
         dim_tableau=t.dim,
@@ -346,7 +361,7 @@ def _greedy_ordering(t: Tableau) -> OrderedBasis:
         for j in range(i + 1, n):
             candidates.append({i: (1, 0), j: (1, 0)})
             candidates.append({i: (1, 0), j: (-1, 0)})
-    state = dict(zip(t.basis.pivots, to_int_rows(t.basis.vectors)))
+    state = dict(zip(t.basis.pivots, t.basis.rows))
     vstate = {}
     chosen_back = []
     for _ in range(n):

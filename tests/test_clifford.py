@@ -3,7 +3,7 @@ import random
 import pytest
 
 from kdirac.clifford import CliffordRep, RepParams, build_spinor_rep, clifford_apply
-from kdirac.linalg import ExactMatrix, GaussRational, IMAG, ONE, ZERO
+from kdirac.linalg import ExactMatrix, GaussRational, IMAG, ONE, ZERO, InvariantViolation
 
 GR = GaussRational
 ALLOWED = {GR(1), GR(-1), GR(0, 1), GR(0, -1)}
@@ -99,3 +99,11 @@ def test_construction_deterministic():
     b = build_spinor_rep(6)
     assert all(x == y for x, y in zip(a.gamma, b.gamma))
     assert a.chirality == b.chirality
+
+
+def test_verify_names_n_and_the_generators_of_a_corrupted_matrix():
+    rep = build_spinor_rep(4)
+    gamma = list(rep.gamma)
+    gamma[2] = gamma[1]  # then g_2 g_3 + g_3 g_2 = -2 I instead of 0
+    with pytest.raises(InvariantViolation, match=r"n = 4: .* a = 2, b = 3"):
+        CliffordRep(rep.params, gamma, rep.chirality).verify()

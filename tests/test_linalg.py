@@ -2,11 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import QQ, QQ_I
+from sympy.polys.matrices import DomainMatrix
 
 from kdirac.linalg import (
     ExactMatrix,
@@ -15,6 +18,7 @@ from kdirac.linalg import (
     ONE,
     RowFactor,
     SubspaceBasis,
+    int_kernel_rows,
     int_pivot_cols,
     inverse,
     kernel_rows,
@@ -148,6 +152,37 @@ class TestPivotColumns:
         half = GR(Fraction(1, 2))
         vecs = [{0: half, 1: ONE}, {0: ONE, 1: GR(3)}]
         assert to_int_rows(vecs) == [{0: (1, 0), 1: (2, 0)}, {0: (2, 0), 1: (6, 0)}]
+
+
+def to_qqi(v):
+    return QQ_I(QQ(v.re.numerator, v.re.denominator), QQ(v.im.numerator, v.im.denominator))
+
+
+def from_qqi(z):
+    return GR(Fraction(int(z.x.numerator), int(z.x.denominator)),
+              Fraction(int(z.y.numerator), int(z.y.denominator)))
+
+
+class TestIntKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_rows())
+    def test_matches_sympy_nullspace_with_least_denominator(self, rows):
+        basis = int_kernel_rows(to_int_rows(rows), 7)
+        dense = [[to_qqi(row.get(c, GR(0))) for c in range(7)] for row in rows]
+        null = DomainMatrix(dense, (len(rows), 7), QQ_I).nullspace().to_list()
+        assert basis == SubspaceBasis.from_vectors(7, [[from_qqi(z) for z in v] for v in null])
+        denominators = [d for vec in basis.vectors for v in vec.values()
+                        for d in (v.re.denominator, v.im.denominator)]
+        assert basis.den == lcm(*denominators)
+        assert basis.rows == to_int_rows(basis.vectors)
+
+    def test_kernel_vectors_lead_with_one_at_free_columns(self):
+        # x0 + 2 x2 = 0 and 2 x1 + x2 = 0: eliminating from the last column
+        # leaves x0 free, and the kernel (4, 1, -2) / 4 leads with 1 there
+        basis = int_kernel_rows([{0: (1, 0), 2: (2, 0)}, {1: (2, 0), 2: (1, 0)}], 3)
+        assert basis.pivots == [0] and basis.den == 4
+        assert basis.rows == [{0: (4, 0), 1: (1, 0), 2: (-2, 0)}]
+        assert basis.vectors == [{0: ONE, 1: GR(Fraction(1, 4)), 2: GR(Fraction(-1, 2))}]
 
 
 class TestKernel:
@@ -287,7 +322,7 @@ class TestRowFactor:
     @settings(max_examples=80, deadline=None)
     @given(sparse_rows(), st.lists(data_vectors(), min_size=1, max_size=4))
     def test_matches_a_fresh_solve_per_datum(self, rows, data):
-        factor = RowFactor(rows, 3)
+        factor = RowFactor(to_int_rows(rows), 3)
         for x in data:
             expected, rank = per_datum_solve(rows, 3, x)
             assert factor.rank == rank == rank_rows(
@@ -312,7 +347,7 @@ class TestRowFactor:
     def test_consistency_is_tested_on_the_whole_datum(self):
         # after reduction row 1 lies in the data columns 1 and 2 as d1 - d2
         rows = [{0: ONE, 2: ONE}, {1: ONE, 2: GR(-1)}]
-        factor = RowFactor(rows, 1)
+        factor = RowFactor(to_int_rows(rows), 1)
         assert factor.rank == 1
         assert factor.solve({1: ONE}) is None
         assert factor.solve({2: ONE}) is None

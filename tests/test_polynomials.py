@@ -1,14 +1,17 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
 
 from kdirac.clifford import build_spinor_rep
 from kdirac.linalg import ExactMatrix, GaussRational
+from kdirac.parabolic import build_parabolic
 from kdirac.polynomials import (
     DiffOp,
     SpinorPoly,
     VariableSet,
+    _constraint_rows,
     apply_op,
     basis_polynomials,
     monomial_basis,
@@ -112,6 +115,32 @@ class TestApplyOp:
             lhs = apply_op(op, p.scaled(a) + q)
             rhs = apply_op(op, p).scaled(a) + apply_op(op, q)
             assert lhs == rhs
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_is_the_constraint_matrix_times_the_coefficients(self, slot):
+        # the p(3,2) slot operators carry the 1/2 of the skew derivative, so
+        # their term table and coefficient rows are scaled by 2
+        psys = build_parabolic(3, 2)
+        op, s, rng = psys.ops[slot], psys.s, random.Random(slot)
+        assert op._den == 2
+        for degree in (2, 3):
+            monos = monomial_basis(psys.vars, degree)
+            p = SpinorPoly(psys.vars, s, {
+                (rng.choice(monos), rng.randrange(s)):
+                    GR(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-2, 2))
+                for _ in range(6)
+            })
+            x = {monos.index(e) * s + mu: v for (e, mu), v in p.coeffs.items()}
+            rows, ncols = _constraint_rows([op], psys.vars, s, degree)
+            targets = monomial_basis(psys.vars, degree - 1)
+            assert (len(rows), ncols) == (len(targets) * s, len(monos) * s)
+            product = {}
+            for rid, row in enumerate(rows):
+                total = sum((GR(a, b) * x[c] for c, (a, b) in row.items() if c in x), GR(0))
+                if total:
+                    t_idx, nu = divmod(rid, s)
+                    product[(targets[t_idx], nu)] = total / op._den
+            assert product and apply_op(op, p).coeffs == product
 
     def test_mixed_partials_commute(self):
         rng = random.Random(4)
