@@ -7,6 +7,11 @@ symmetric 2-tensors whose contractions against every covector slot stay in A;
 computationally that is the kernel of one sparse constraint matrix whose rows
 are indexed by (unordered covector pair, W-coordinate).
 
+``prolong`` builds that kernel. ``prolongation_dim`` takes a smaller rank: for
+the tableau A^(q) q levels below its root A, A^(q+1) is the kernel of the
+equations of A (its annihilator) on every (q+1)-fold contraction of
+S^{q+2}V* (x) W (Seiler, *Involution*, ch. 6).
+
 The Cartan filtration A_k intersects A with the span of the trailing vectors
 of an ordered basis of V*. After one change of coordinates, dim A_k is dim A
 minus the rank of the leading k * dim W columns, so every filtration dimension
@@ -25,6 +30,7 @@ no step needs the GaussRational view of a basis.
 import random as _random
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import comb
 
 from .linalg import (
@@ -48,6 +54,8 @@ class Tableau:
 
     ``system`` and ``level`` name it in failure messages: a system builder
     sets the first, as "e(3,2)", and a prolongation raises the level by one.
+    ``root`` is the tableau its prolongation chain started from; a tableau
+    built directly is its own root.
     """
 
     system = "tableau"
@@ -59,6 +67,7 @@ class Tableau:
         self.dim_V = dim_V
         self.dim_W = dim_W
         self.basis = basis
+        self.root = self
 
     @property
     def dim(self) -> int:
@@ -160,6 +169,7 @@ class Prolongation:
         self.source = source
         self.lifted = Tableau(source.dim_V, source.dim, coefficients)
         self.lifted.system, self.lifted.level = source.system, source.level + 1
+        self.lifted.root = source.root
         self._raw = None
 
     @property
@@ -216,18 +226,32 @@ def prolong(t: Tableau) -> Prolongation:
 
 
 def prolongation_dim(t: Tableau) -> int:
-    """dim A^(1) without materialising a basis (rank computation only)."""
-    return t.dim_V * t.dim - len(int_pivot_cols(_prolongation_rows(t)))
+    """dim A^(q+1) for t = A^(q), q levels below its root A: the corank of the
+    equations of A on S^{q+2}V* (x) W, one row per multiset m of q+1 covector
+    indices and equation e, with e[i, w] at column (m + {i}, w)."""
+    root, q = t.root, t.level - t.root.level
+    n, w = root.dim_V, root.dim_W
+    equations = int_kernel_rows(root.basis.rows, n * w).rows
+    cols = {m: c * w for c, m in enumerate(combinations_with_replacement(range(n), q + 2))}
+    rows = []
+    for m in combinations_with_replacement(range(n), q + 1):
+        for e in equations:
+            row = {}
+            for coord, v in e.items():
+                i, ww = divmod(coord, w)
+                row[cols[tuple(sorted(m + (i,)))] + ww] = v
+            rows.append(row)
+    return len(cols) * w - len(int_pivot_cols(rows))
 
 
 def h02_dim(t: Tableau) -> int:
     """Dimension of Lambda^2 V* (x) W modulo the skew image of V* (x) A.
 
-    The skew-symmetrisation of V* (x) A has the same coefficient matrix as the
-    prolongation constraints, so one rank computation serves both.
+    The skew-symmetrisation of V* (x) A has kernel A^(1), so its rank is
+    dim V * dim A - dim A^(1), with dim A^(1) from ``prolongation_dim``.
     """
-    total = comb(t.dim_V, 2) * t.dim_W
-    return total - len(int_pivot_cols(_prolongation_rows(t)))
+    n = t.dim_V
+    return comb(n, 2) * t.dim_W - n * t.dim + prolongation_dim(t)
 
 
 # ---------------------------------------------------------------------------

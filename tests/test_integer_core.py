@@ -40,6 +40,7 @@ def test_prolongation_and_slices(system, built):
     t = system.tableau()
     lifted = prolong(t).lifted
     assert prolongation_dim(t) == lifted.dim
+    assert prolongation_dim(lifted) == prolong(lifted).dim
     assert solution_dim(system.ops, system.vars, system.s, 3) > 0
     assert built == []
 

@@ -22,7 +22,7 @@ from kdirac.parabolic import (
     y_monomial,
 )
 from kdirac.polynomials import SpinorPoly, apply_op, monomial_basis, scalar_multiply
-from kdirac.tableau import InvariantViolation, prolong
+from kdirac.tableau import InvariantViolation, cartan_test, prolong, search_ordering
 
 GR = GaussRational
 
@@ -121,6 +121,13 @@ class TestTableau:
         assert r1.characters == (18, 16, 14, 12, 10, 8, 6, 0, 0, 0, 0, 0)
         assert r1.rhs_cartan_test == r1.dim_prolongation == 280
         assert r1.involutive
+
+    def test_level1_k3_n4_greedy(self):
+        lifted = prolong(build_parabolic(4, 3).tableau()).lifted
+        report = cartan_test(lifted, search_ordering(lifted, "greedy"))
+        assert report.characters == tuple(range(48, 8, -4)) + (0,) * 5
+        assert report.rhs_cartan_test == report.dim_prolongation == 1320
+        assert report.involutive
 
 
 class TestDecompositions:

@@ -284,8 +284,8 @@ ENTRIES = (GR(1), GR(-1), GR(Fraction(1, 2)), GR(0, 1), GR(1, 1), GR(Fraction(-1
 
 
 @st.composite
-def small_tableaux(draw):
-    dim_V = draw(st.integers(1, 3))
+def small_tableaux(draw, max_V=3):
+    dim_V = draw(st.integers(1, max_V))
     dim_W = draw(st.integers(1, 2))
     n = dim_V * dim_W
     entry = st.one_of(st.none(), st.sampled_from(ENTRIES))
@@ -329,3 +329,37 @@ class TestGreedyOracle:
     def test_matches_brute_force_rule(self, t):
         ob = search_ordering(t, "greedy")
         assert ob.change.row_dicts() == brute_force_greedy(t)
+
+
+class TestRootRoute:
+    """dim A^(q+1) from the root's equations on S^{q+2}V* (x) W against the
+    kernel of the lifted constraint matrix over V* (x) A^(q)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_tableaux(max_V=4))
+    def test_matches_lifted_route_at_depths_0_and_1(self, t):
+        p = prolong(t)
+        assert prolongation_dim(t) == p.dim
+        assert prolongation_dim(p.lifted) == prolong(p.lifted).dim
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_levels_0_to_2_match_monogenic_slices(self, n):
+        system = build_euclidean(n, 2)
+        t = system.tableau()
+        for q in range(3):
+            p = prolong(t)
+            assert prolongation_dim(t) == system.monogenic_dim(q + 2) == p.dim
+            t = p.lifted
+
+    def test_e53_levels_1_and_2(self):
+        system = build_euclidean(5, 3)
+        lifted = prolong(system.tableau()).lifted
+        assert prolongation_dim(lifted) == system.monogenic_dim(3) == 1312
+        second = prolong(lifted).lifted
+        assert prolongation_dim(second) == system.monogenic_dim(4) == 4536
+
+    def test_chain_keeps_its_root(self):
+        rng = random.Random(3)
+        t = random_tableau(rng, 3, 2, 3)
+        assert t.root is t
+        assert prolong(prolong(t).lifted).lifted.root is t
