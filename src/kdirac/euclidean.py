@@ -30,7 +30,7 @@ from .polynomials import (
     solution_space,
     solve_correction,
 )
-from .tableau import OrderedBasis, Tableau, prolong
+from .tableau import OrderedBasis, Tableau, prolong, tensors
 
 HALF = GaussRational("1/2")
 
@@ -171,12 +171,12 @@ def quadratic_component_dims(sys: EuclideanSystem):
     """Split the quadratic slice into its symmetric-symmetric and
     skew-skew components inside S^2(E (x) F) (x) Sp.
 
-    Projects the prolongation basis onto both summands and returns the two
+    Projects the prolongation's tensors onto both summands and returns the two
     ranks; their sum must reproduce the full dimension. Each projection is
     taken times 2, which clears its 1/2 and keeps the rank.
     """
     k, s, dim_V = sys.k, sys.s, sys.n * sys.k
-    p = prolong(sys.tableau())
+    lifted = prolong(sys.tableau()).lifted
 
     def partner(coord):
         pair, w = divmod(coord, s)
@@ -196,11 +196,11 @@ def quadratic_component_dims(sys: EuclideanSystem):
 
         return image
 
-    sym_dim, skew_dim = _projected_ranks(p.raw.rows, (part(1), part(-1)))
-    if sym_dim + skew_dim != p.dim:
+    sym_dim, skew_dim = _projected_ranks(tensors(lifted), (part(1), part(-1)))
+    if sym_dim + skew_dim != lifted.dim:
         raise InvariantViolation(
             f"e({sys.n},{k}) level 1: component split does not add up: "
-            f"{sym_dim} + {skew_dim} != {p.dim} = dim A^(1)")
+            f"{sym_dim} + {skew_dim} != {lifted.dim} = dim A^(1)")
     return sym_dim, skew_dim
 
 

@@ -18,9 +18,13 @@ gives the column rank profile, ``int_kernel_rows`` the kernel, and a
 integer rows over one least denominator, so two equal subspaces always
 produce bit-identical bases.
 
-:class:`GaussRational` is the API edge: :class:`ExactMatrix`, ``inverse``,
+Splitting into column blocks changes no arithmetic (no update combines rows of
+two blocks); it bounds peak memory, keeping one block's working copies at a time.
+
+:class:`GaussRational` is the API edge: :class:`ExactMatrix`,
 ``SubspaceBasis.vectors`` and the thin conversions ``to_int_rows``,
-``rref_rows``, ``rank_rows``, ``kernel_rows`` and ``solve_rows``.
+``rref_rows``, ``rank_rows``, ``kernel_rows`` and ``solve_rows``. The last
+four stay public because ``bench/tracing.py`` wraps them by name.
 """
 
 from fractions import Fraction
@@ -363,7 +367,8 @@ def _eliminate(rows: dict, reduced: bool, pivot_limit=None):
 
 
 def _components(rows: Sequence[Mapping]):
-    """Group row indices by connected column support (union-find)."""
+    """Group row indices by connected column support (union-find). Eliminating
+    group by group does the updates of one whole-matrix pass in less memory."""
     parent = {}
 
     def find(x):
@@ -566,25 +571,6 @@ def solve_rows(rows: Sequence[Mapping], ncols: int, rhs: Sequence[Mapping]):
                 aug[ri][ncols + j] = val
     factor = RowFactor(to_int_rows(aug), ncols)
     return [factor.solve({ncols + j: ONE}) for j in range(len(rhs))], factor.rank
-
-
-# ---------------------------------------------------------------------------
-# public matrix operations
-# ---------------------------------------------------------------------------
-
-
-def inverse(m: ExactMatrix) -> ExactMatrix:
-    if m.rows != m.cols:
-        raise ValueError("only square matrices can be inverted")
-    rhs = [{i: ONE} for i in range(m.rows)]
-    solutions, rank = solve_rows(m.row_dicts(), m.cols, rhs)
-    if rank != m.cols:
-        raise ValueError("matrix is singular")
-    entries = {}
-    for j, col in enumerate(solutions):
-        for i, v in col.items():
-            entries[(i, j)] = v
-    return ExactMatrix(m.rows, m.cols, entries)
 
 
 def _as_sparse_vec(v) -> dict:

@@ -11,10 +11,11 @@ build verifies symbolically; the bracket test is what pins the sign and the
 The symbol tableau lives in V* (x) Sp with V* the matrix block followed by
 the skew block: the matrix part obeys the usual Clifford symbol relation and
 the skew part is unconstrained. Prolongations are graded by the number of
-skew indices, and the component decompositions below read that grading off
-the prolongation bases.
+skew indices, and the graded split below reads that grading off the
+prolongation written out as tensors.
 """
 
+from itertools import product
 from math import comb
 
 from .clifford import CliffordRep, build_spinor_rep
@@ -43,9 +44,9 @@ from .tableau import (
     OrderedBasis,
     Tableau,
     cartan_test,
-    expand_coefficients,
     prolong,
     search_ordering,
+    tensors,
 )
 
 
@@ -95,18 +96,15 @@ class ParabolicSystem:
     def y_index(self, r: int, t: int) -> int:
         return self.n * self.k + self.y_pairs.index((r, t))
 
-    def _zero_exp(self):
-        return (0,) * len(self.vars)
-
     def _field_terms(self, alpha: int, i: int, matrix):
         """Terms of L_{alpha i} followed by ``matrix``: d/dx_{alpha i} and
         -1/2 sum_j x_{alpha j} d_{i j}, with the sign of the skew derivative
         resolved onto the stored coordinates y_{r t}, r < t."""
-        terms = [({self._zero_exp(): GaussRational(1)}, self.x_index(alpha, i), matrix)]
+        terms = [({self.vars.zero_exponents(): GaussRational(1)}, self.x_index(alpha, i), matrix)]
         for j in range(1, self.k + 1):
             if j == i:
                 continue
-            exp = list(self._zero_exp())
+            exp = list(self.vars.zero_exponents())
             exp[self.x_index(alpha, j)] = 1
             if i < j:
                 terms.append(({tuple(exp): -HALF}, self.y_index(i, j), matrix))
@@ -128,7 +126,7 @@ class ParabolicSystem:
         """The signed derivative d_{i j}; zero operator is refused (i = j)."""
         if i == j:
             raise ValueError("the skew derivative vanishes on the diagonal")
-        one = {self._zero_exp(): GaussRational(1 if i < j else -1)}
+        one = {self.vars.zero_exponents(): GaussRational(1 if i < j else -1)}
         var = self.y_index(min(i, j), max(i, j))
         return DiffOp(self.vars, self.s, [(one, var, ExactMatrix.identity(self.s))])
 
@@ -278,67 +276,30 @@ def level1_rhs_formula(n: int, s: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _grade_part(grade, ambient_dim, g):
-    """The projection of a row onto the coordinates of grade g."""
-    keep = {c for c in range(ambient_dim) if grade(c) == g}
-    return lambda row: {c: v for c, v in row.items() if c in keep}
-
-
-def parabolic_prolongation_decomposition(sys: ParabolicSystem):
-    """Component dimensions of the first prolongation under the skew grading:
-    (no skew index, one skew index, two skew indices). For k = 2 these are the
-    quadratic matrix-space solutions, the skew copy of the tableau's matrix
-    part, and the doubly-skew spinor block."""
+def parabolic_prolongation_decomposition(sys: ParabolicSystem, level: int = 1):
+    """Component dimensions of A^(level) under the skew grading: the ranks of
+    its tensors over the root projected onto the coordinates with 0, 1, ...,
+    level + 1 skew indices among their covector slots. For k = 2 at level 1
+    these are the quadratic matrix-space solutions, the skew copy of the
+    tableau's matrix part, and the doubly-skew spinor block."""
     if sys.k != 2:
         raise ValueError("the decomposition is tabulated for k = 2 only")
-    t0 = sys.tableau()
-    p = prolong(t0)
-    raw = p.raw
+    if level < 0:
+        raise ValueError("the prolongation level must be nonnegative")
+    t = sys.tableau()
+    for _ in range(level):
+        t = prolong(t).lifted
     nk = sys.n * sys.k
-    dim_V, s = sys.dim_V, sys.s
-
-    def grade(coord):
-        pair, _w = divmod(coord, s)
-        c1, c2 = divmod(pair, dim_V)
-        return (c1 >= nk) + (c2 >= nk)
-
-    dims = _projected_ranks(
-        raw.rows, [_grade_part(grade, raw.ambient_dim, g) for g in (0, 1, 2)]
-    )
-    if sum(dims) != p.dim:
+    grade = [sum(c >= nk for c in slots)
+             for slots in product(range(sys.dim_V), repeat=level + 1) for _w in range(sys.s)]
+    dims = _projected_ranks(tensors(t), [
+        lambda row, g=g: {c: v for c, v in row.items() if grade[c] == g}
+        for g in range(level + 2)
+    ])
+    if sum(dims) != t.dim:
         raise InvariantViolation(
-            f"p({sys.n},{sys.k}) level 1: graded split does not add up: "
-            f"{' + '.join(map(str, dims))} != {p.dim} = dim A^(1)")
-    return dims
-
-
-def parabolic_second_decomposition(sys: ParabolicSystem):
-    """Skew-grading split of the second prolongation (grades 0..3)."""
-    if sys.k != 2:
-        raise ValueError("the decomposition is tabulated for k = 2 only")
-    t0 = sys.tableau()
-    p1 = prolong(t0)
-    p2 = prolong(p1.lifted)
-    nk = sys.n * sys.k
-    dim_V, s = sys.dim_V, sys.s
-    expanded = expand_coefficients(
-        expand_coefficients(p2.lifted.basis.rows, p1.lifted), t0
-    )
-
-    def grade(coord):
-        triplet, _w = divmod(coord, s)
-        pair, kV = divmod(triplet, dim_V)
-        iV, jV = divmod(pair, dim_V)
-        return (iV >= nk) + (jV >= nk) + (kV >= nk)
-
-    ambient = dim_V**3 * s
-    dims = _projected_ranks(
-        expanded, [_grade_part(grade, ambient, g) for g in (0, 1, 2, 3)]
-    )
-    if sum(dims) != p2.dim:
-        raise InvariantViolation(
-            f"p({sys.n},{sys.k}) level 2: graded split does not add up: "
-            f"{' + '.join(map(str, dims))} != {p2.dim} = dim A^(2)")
+            f"p({sys.n},{sys.k}) level {level}: graded split does not add up: "
+            f"{' + '.join(map(str, dims))} != {t.dim} = dim A^({level})")
     return dims
 
 

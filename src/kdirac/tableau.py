@@ -12,6 +12,9 @@ the tableau A^(q) q levels below its root A, A^(q+1) is the kernel of the
 equations of A (its annihilator) on every (q+1)-fold contraction of
 S^{q+2}V* (x) W (Seiler, *Involution*, ch. 6).
 
+``tensors`` expands a tableau down its ``source`` chain, substituting each
+level's basis, into symmetric tensors over the root's V* and W.
+
 The Cartan filtration A_k intersects A with the span of the trailing vectors
 of an ordered basis of V*. After one change of coordinates, dim A_k is dim A
 minus the rank of the leading k * dim W columns, so every filtration dimension
@@ -40,12 +43,10 @@ from .linalg import (
     InvariantViolation,
     SubspaceBasis,
     _axpy,
-    _rref,
+    _ints,
     int_kernel_rows,
     int_pivot_cols,
-    inverse,
     kernel_rows,  # noqa: F401 -- bench/test_checks.py traces tableau.kernel_rows
-    to_int_rows,
 )
 
 
@@ -54,12 +55,13 @@ class Tableau:
 
     ``system`` and ``level`` name it in failure messages: a system builder
     sets the first, as "e(3,2)", and a prolongation raises the level by one.
-    ``root`` is the tableau its prolongation chain started from; a tableau
-    built directly is its own root.
+    ``source`` is the tableau this one is the first prolongation of, or None
+    for a tableau built directly; ``root`` is the end of that chain.
     """
 
     system = "tableau"
     level = 0
+    source = None
 
     def __init__(self, dim_V: int, dim_W: int, basis: SubspaceBasis):
         if basis.ambient_dim != dim_V * dim_W:
@@ -67,7 +69,13 @@ class Tableau:
         self.dim_V = dim_V
         self.dim_W = dim_W
         self.basis = basis
-        self.root = self
+
+    @property
+    def root(self) -> "Tableau":
+        t = self
+        while t.source is not None:
+            t = t.source
+        return t
 
     @property
     def dim(self) -> int:
@@ -112,12 +120,24 @@ class OrderedBasis:
         return cls(ExactMatrix(n, n, {(i, j): ONE for i, j in enumerate(order)}), label)
 
     def inverse_rows(self):
+        """(rows, den) with rows[j] / den row j of C^-1, C = ``change``. The
+        kernel of [I | -C] is {(C y, y)}: for invertible C its canonical vector
+        with pivot i is (e_i, C^-1 e_i), over one denominator; a singular C
+        puts a pivot past column n - 1."""
         if self._inverse is None:
-            try:
-                inv = inverse(self.change)
-            except ValueError:
-                raise ValueError(f"ordering '{self.label}' is singular") from None
-            self._inverse = inv.row_dicts()
+            n = self.change.rows
+            rows, d = _ints(self.change.row_dicts())
+            system = [{r: (d, 0), **{n + j: (-a, -b) for j, (a, b) in row.items()}}
+                      for r, row in enumerate(rows)]
+            kernel = int_kernel_rows(system, 2 * n)
+            if kernel.pivots != list(range(n)):
+                raise ValueError(f"ordering '{self.label}' is singular")
+            inv = [{} for _ in range(n)]
+            for i, vec in enumerate(kernel.rows):
+                for c, v in vec.items():
+                    if c >= n:
+                        inv[c - n][i] = v
+            self._inverse = inv, kernel.den
         return self._inverse
 
 
@@ -161,62 +181,52 @@ class Prolongation:
     """Result of prolonging a tableau.
 
     ``lifted`` presents the prolongation as a tableau inside V* (x) A, ready
-    for the next round of the test; ``raw`` expands the same space into
-    symmetric tensors inside V* (x) V* (x) W (computed on first access).
+    for the next round of the test; ``tensors(lifted)`` expands it into
+    symmetric tensors.
     """
 
     def __init__(self, source: Tableau, coefficients: SubspaceBasis):
         self.source = source
         self.lifted = Tableau(source.dim_V, source.dim, coefficients)
         self.lifted.system, self.lifted.level = source.system, source.level + 1
-        self.lifted.root = source.root
-        self._raw = None
+        self.lifted.source = source
 
     @property
     def dim(self) -> int:
         return self.lifted.dim
 
-    @property
-    def raw(self) -> SubspaceBasis:
-        if self._raw is None:
-            src = self.source
-            ambient = src.dim_V * src.basis.ambient_dim
-            rows = expand_coefficients(self.lifted.basis.rows, src)
-            self._raw = SubspaceBasis(ambient, *_rref(rows), _trusted=True)
-        return self._raw
 
+def tensors(t: Tableau) -> list:
+    """The basis rows of ``t``, q levels below its root, as Gaussian-integer
+    rows over (V*)^(x)(q+1) (x) W of the root, slot-major.
 
-def expand_coefficients(rows, t: Tableau) -> list:
-    """Substitute the integer basis rows of ``t`` into Gaussian-integer
-    coefficient rows over V* (x) A.
-
-    Input columns are slot-major, col = i * dim A + p; the output coordinate
-    is i * N + c for the coordinate c of the ambient space (of dimension N)
-    of A. The slot index i is not bounded, so a row over V* (x) V* (x) A
-    (slot pair (i, j) as i * dim V + j) expands alike. Every output row is
-    scaled by the same denominator, that of the basis of ``t``.
-    """
-    a = t.dim
-    ambient = t.basis.ambient_dim
-    basis = t.basis.rows
-    out = []
-    for c in rows:
-        x = {}
-        for col, (la, lb) in c.items():
-            i, p = divmod(col, a)
-            offset = i * ambient
-            for coord, (va, vb) in basis[p].items():
-                key = offset + coord
-                re, im = la * va - lb * vb, la * vb + lb * va
-                cur = x.get(key)
-                if cur is not None:
-                    re, im = re + cur[0], im + cur[1]
-                    if not (re or im):
-                        del x[key]
-                        continue
-                x[key] = (re, im)
-        out.append(x)
-    return out
+    Each step substitutes the source's basis rows for the columns
+    i * dim(source) + p, giving coordinates i * N + c with N the source's
+    ambient dimension. The rows are not canonicalised: the expansion is
+    injective, so they stay independent."""
+    rows = t.basis.rows
+    while t.source is not None:
+        t = t.source
+        a, ambient, basis = t.dim, t.basis.ambient_dim, t.basis.rows
+        expanded = []
+        for c in rows:
+            x = {}
+            for col, (la, lb) in c.items():
+                i, p = divmod(col, a)
+                offset = i * ambient
+                for coord, (va, vb) in basis[p].items():
+                    key = offset + coord
+                    re, im = la * va - lb * vb, la * vb + lb * va
+                    cur = x.get(key)
+                    if cur is not None:
+                        re, im = re + cur[0], im + cur[1]
+                        if not (re or im):
+                            del x[key]
+                            continue
+                    x[key] = (re, im)
+            expanded.append(x)
+        rows = expanded
+    return rows
 
 
 def prolong(t: Tableau) -> Prolongation:
@@ -268,7 +278,7 @@ def _transformed_rows(t: Tableau, ob: OrderedBasis):
     ordering has entries 1/2 in its inverse)."""
     if ob.change.rows != t.dim_V:
         raise ValueError("ordering size must match dim V*")
-    inv = to_int_rows(ob.inverse_rows())
+    inv, _den = ob.inverse_rows()
     out = []
     for vec in t.basis.rows:
         x = {}

@@ -49,7 +49,6 @@ def test_prolongation_and_slices(system, built):
 def test_filtration_once_the_inverse_is_warm(system, built, strategy, seed):
     t = prolong(system.tableau()).lifted
     ob = search_ordering(t, strategy, seed)
-    ob.inverse_rows()
     built.clear()
     assert filtration_dims(t, ob)[-1] == 0
     assert built == []

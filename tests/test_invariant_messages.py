@@ -56,7 +56,7 @@ CASES = {
         ["p(3,2) level 1", "0 + 1 + 2 != 28 = dim A^(1)"]),
     "second graded split": (
         ranks_off(parabolic),
-        lambda: parabolic.parabolic_second_decomposition(build_parabolic(3, 2)),
+        lambda: parabolic.parabolic_prolongation_decomposition(build_parabolic(3, 2), level=2),
         ["p(3,2) level 2", "0 + 1 + 2 + 3 != 60 = dim A^(2)"]),
 }
 

@@ -20,7 +20,6 @@ from kdirac.linalg import (
     SubspaceBasis,
     int_kernel_rows,
     int_pivot_cols,
-    inverse,
     kernel_rows,
     rank_rows,
     rref_rows,
@@ -282,15 +281,6 @@ class TestSolve:
         x = sols[0]
         total = x.get(0, GR(0)) + x.get(1, GR(0))
         assert total == GR(3)
-
-    def test_inverse_roundtrip(self):
-        m = ExactMatrix.from_rows([[1, 1, 0], [0, 1, IMAG], [1, 0, 1]])
-        m_inv = inverse(m)
-        assert m.matmul(m_inv) == ExactMatrix.identity(3)
-
-    def test_inverse_singular(self):
-        with pytest.raises(ValueError):
-            inverse(ExactMatrix.from_rows([[1, 1], [2, 2]]))
 
 
 def per_datum_solve(rows, ncols, x):

@@ -16,7 +16,6 @@ from kdirac.parabolic import (
     parabolic_level0_ordering,
     parabolic_level1_ordering,
     parabolic_prolongation_decomposition,
-    parabolic_second_decomposition,
     two_jet_fiber_dim,
     y_free_dim,
     y_monomial,
@@ -135,7 +134,7 @@ class TestDecompositions:
         assert parabolic_prolongation_decomposition(psys32) == (18, 8, 2)
 
     def test_second_prolongation_split(self, psys32):
-        assert parabolic_second_decomposition(psys32) == (32, 18, 8, 2)
+        assert parabolic_prolongation_decomposition(psys32, level=2) == (32, 18, 8, 2)
 
     def test_first_split_n4(self, psys42):
         assert parabolic_prolongation_decomposition(psys42) == (80, 24, 4)

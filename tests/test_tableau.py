@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -9,7 +11,14 @@ from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
 from kdirac.euclidean import build_euclidean, level1_ordering
-from kdirac.linalg import GaussRational, SubspaceBasis, rank_rows
+from kdirac.linalg import (
+    IMAG,
+    ExactMatrix,
+    GaussRational,
+    SubspaceBasis,
+    int_pivot_cols,
+    rank_rows,
+)
 from kdirac.parabolic import build_parabolic
 from kdirac.tableau import (
     CartanReport,
@@ -22,6 +31,7 @@ from kdirac.tableau import (
     prolong,
     prolongation_dim,
     search_ordering,
+    tensors,
 )
 
 GR = GaussRational
@@ -40,6 +50,21 @@ def random_tableau(rng, dim_V, dim_W, count):
     return Tableau(dim_V, dim_W, SubspaceBasis.from_vectors(dim_V * dim_W, vecs))
 
 
+def assert_symmetric(rows, dim_V, dim_W, slots):
+    """Every entry of each tensor row reappears at each permutation of its
+    ``slots`` covector indices."""
+    for row in rows:
+        for coord, val in row.items():
+            idx, w = divmod(coord, dim_W)
+            digits = []
+            for _ in range(slots):
+                idx, d = divmod(idx, dim_V)
+                digits.append(d)
+            for perm in permutations(digits):
+                mirror = reduce(lambda acc, d: acc * dim_V + d, perm, 0) * dim_W + w
+                assert row.get(mirror) == val
+
+
 class TestProlong:
     def test_zero_tableau(self):
         t = Tableau.zero(3, 2)
@@ -53,32 +78,34 @@ class TestProlong:
         expected = comb(dim_V + 1, 2) * dim_W
         assert p.dim == expected
         assert prolongation_dim(t) == expected
-        assert p.raw.dim == expected
+        assert len(int_pivot_cols(tensors(p.lifted))) == expected
 
     def test_raw_vectors_symmetric(self):
         rng = random.Random(8)
         t = random_tableau(rng, 3, 2, 3)
-        raw = prolong(t).raw
-        for vec in raw.vectors:
-            for coord, val in vec.items():
-                pair, w = divmod(coord, t.dim_W)
-                i, j = divmod(pair, t.dim_V)
-                mirror = (j * t.dim_V + i) * t.dim_W + w
-                assert vec.get(mirror, GR(0)) == val
+        assert_symmetric(tensors(prolong(t).lifted), t.dim_V, t.dim_W, 2)
 
     def test_raw_slices_stay_in_tableau(self):
         rng = random.Random(15)
         t = random_tableau(rng, 3, 2, 4)
-        raw = prolong(t).raw
-        for vec in raw.vectors:
+        for vec in tensors(prolong(t).lifted):
             for i in range(t.dim_V):
                 slice_vec = {}
-                for coord, val in vec.items():
+                for coord, (a, b) in vec.items():
                     pair, w = divmod(coord, t.dim_W)
                     fst, snd = divmod(pair, t.dim_V)
                     if fst == i:
-                        slice_vec[snd * t.dim_W + w] = val
+                        slice_vec[snd * t.dim_W + w] = GR(a, b)
                 assert t.basis.contains(slice_vec)
+
+    @pytest.mark.parametrize("build, expected", [(build_euclidean, 32), (build_parabolic, 60)],
+                             ids=["e(3,2)", "p(3,2)"])
+    def test_second_prolongation_tensors(self, build, expected):
+        t = build(3, 2).tableau()
+        first = prolong(t).lifted
+        rows = tensors(prolong(first).lifted)
+        assert len(int_pivot_cols(rows)) == prolongation_dim(first) == expected
+        assert_symmetric(rows, t.dim_V, t.dim_W, 3)
 
 
 class TestFiltration:
@@ -101,10 +128,16 @@ class TestFiltration:
         ob = OrderedBasis.from_rows([[1, 0], [1, 2]], "skew")
         assert filtration_dims(t, ob) == [0, 0] == sympy_filtration_dims(t, ob)
 
+    def test_inverse_roundtrip(self):
+        ob = OrderedBasis.from_rows([[1, 1, 0], [0, 1, IMAG], [1, 0, 1]], "with i")
+        rows, den = ob.inverse_rows()
+        entries = {(r, c): GR(a, b) for r, row in enumerate(rows) for c, (a, b) in row.items()}
+        assert ob.change.matmul(ExactMatrix(3, 3, entries)) == ExactMatrix.identity(3).scaled(den)
+
     def test_singular_ordering_rejected(self):
         t = Tableau.full(2, 1)
         bad = OrderedBasis.from_rows([[1, 1], [2, 2]], "bad")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ordering 'bad' is singular"):
             filtration_dims(t, bad)
 
 
@@ -144,8 +177,8 @@ class TestFiltrationOracle:
 
     def test_paper_level1_ordering_with_halves(self, e32_levels):
         ob = level1_ordering(build_euclidean(3, 2))
-        halves = [v for row in ob.inverse_rows() for v in row.values()]
-        assert GR(Fraction(1, 2)) in halves
+        rows, den = ob.inverse_rows()
+        assert den == 2 and (1, 0) in [v for row in rows for v in row.values()]
         t = e32_levels[1]
         dims = filtration_dims(t, ob)
         assert dims == sympy_filtration_dims(t, ob)
@@ -361,5 +394,7 @@ class TestRootRoute:
     def test_chain_keeps_its_root(self):
         rng = random.Random(3)
         t = random_tableau(rng, 3, 2, 3)
-        assert t.root is t
-        assert prolong(prolong(t).lifted).lifted.root is t
+        assert t.source is None and t.root is t
+        lifted = prolong(t).lifted
+        assert lifted.source is t
+        assert prolong(lifted).lifted.root is t
