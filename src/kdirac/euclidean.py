@@ -1,7 +1,8 @@
-"""The k-Dirac system on n x k matrix space: symbol tableau, monogenic
-solution slices, the explicit basis orderings that witness involutivity for
-k = 2, the initial-data extension solver, and the second-order restriction
-identity.
+"""The k-Dirac system on n x k matrix space: the slot operators, the
+explicit basis orderings that witness involutivity for k = 2, the
+initial-data extension solver, and the second-order restriction identity.
+The symbol tableau and the monogenic solution slices come from
+:class:`~kdirac.polynomials.SlotSystem`.
 
 Variable and coordinate conventions, fixed once for reproducibility:
 
@@ -17,88 +18,44 @@ from functools import lru_cache
 from math import comb
 
 from .clifford import CliffordRep, build_spinor_rep
-from .linalg import GaussRational, InvariantViolation, SubspaceBasis, _projected_ranks
+from .linalg import GaussRational, InvariantViolation, _projected_ranks
 from .polynomials import (
     DiffOp,
+    SlotSystem,
     SpinorPoly,
     VariableSet,
     apply_op,
     basis_polynomials,
     monomial_basis,
     scalar_multiply,
-    solution_dim,
-    solution_space,
     solve_correction,
 )
-from .tableau import OrderedBasis, Tableau, prolong, tensors
+from .tableau import OrderedBasis, prolong, tensors
 
 HALF = GaussRational("1/2")
 
 
-class EuclideanSystem:
-    """The k first-order slot operators sum_alpha gamma_alpha d/dx_{alpha i}."""
+class EuclideanSystem(SlotSystem):
+    """The k first-order slot operators sum_alpha gamma_alpha d/dx_{alpha i}.
+    Their coefficients are all constant, so every term enters the symbol
+    tableau. The ``solve_correction`` memo serves the chart operators'
+    extensions."""
+
+    prefix = "e"
 
     def __init__(self, rep: CliffordRep):
-        self.rep = rep
-        self.params = rep.params
         n, k = rep.params.n, rep.params.k
-        self.vars = VariableSet.of(
-            [f"x_{a}_{i}" for a in range(1, n + 1) for i in range(1, k + 1)]
-        )
-        one = {(0,) * (n * k): GaussRational(1)}
+        names = [f"x_{a}_{i}" for a in range(1, n + 1) for i in range(1, k + 1)]
+        super().__init__(rep, VariableSet.of(names))
+        one = {self.vars.zero_exponents(): GaussRational(1)}
         self.ops = [
             DiffOp(self.vars, rep.s, [(one, a * k + i, rep.gamma[a]) for a in range(n)])
             for i in range(k)
         ]
-        self._tableau = None
-        self._spaces = {}
         self._chart_ops = None
-        self._factors = {}  # extension solves of chart_ops, see solve_correction
-
-    @property
-    def n(self):
-        return self.params.n
-
-    @property
-    def k(self):
-        return self.params.k
-
-    @property
-    def s(self):
-        return self.params.s
-
-    def var_index(self, alpha: int, i: int) -> int:
-        """0-based variable/coordinate index of x_{alpha i} (1-based labels)."""
-        if not (1 <= alpha <= self.n and 1 <= i <= self.k):
-            raise ValueError("matrix entry labels out of range")
-        return (alpha - 1) * self.k + (i - 1)
-
-    def tableau(self) -> Tableau:
-        """Symbol tableau: the linear solutions, as a subspace of V* (x) Sp.
-
-        The degree-1 monomial enumeration coincides with the V*-coordinate
-        order, so the solution-space basis reads directly as a tableau basis.
-        """
-        if self._tableau is None:
-            basis = self.monogenic_space(1)
-            self._tableau = Tableau(self.n * self.k, self.s, basis)
-            self._tableau.system = f"e({self.n},{self.k})"
-        return self._tableau
-
-    def monogenic_space(self, degree: int) -> SubspaceBasis:
-        if degree not in self._spaces:
-            self._spaces[degree] = solution_space(self.ops, self.vars, self.s, degree)
-        return self._spaces[degree]
-
-    def monogenic_dim(self, degree: int) -> int:
-        if degree in self._spaces:
-            return self._spaces[degree].dim
-        return solution_dim(self.ops, self.vars, self.s, degree)
 
     def monogenic_polynomials(self, degree: int):
-        return basis_polynomials(
-            self.vars, self.s, degree, self.monogenic_space(degree)
-        )
+        return basis_polynomials(self.vars, self.s, degree, self.monogenic_space(degree))
 
 
 def build_euclidean(n: int, k: int) -> EuclideanSystem:
@@ -120,7 +77,7 @@ def build_euclidean(n: int, k: int) -> EuclideanSystem:
 def level0_ordering(sys: EuclideanSystem) -> OrderedBasis:
     """Covector order with all alpha < n slots first and the alpha = n column
     block last; in the alpha-major convention this is the identity."""
-    return OrderedBasis.identity(sys.n * sys.k, label="paper")
+    return OrderedBasis.identity(sys.dim_V, label="paper")
 
 
 def level1_ordering(sys: EuclideanSystem) -> OrderedBasis:
@@ -175,7 +132,7 @@ def quadratic_component_dims(sys: EuclideanSystem):
     ranks; their sum must reproduce the full dimension. Each projection is
     taken times 2, which clears its 1/2 and keeps the rank.
     """
-    k, s, dim_V = sys.k, sys.s, sys.n * sys.k
+    k, s, dim_V = sys.k, sys.s, sys.dim_V
     lifted = prolong(sys.tableau()).lifted
 
     def partner(coord):

@@ -418,22 +418,25 @@ def _normalise(row: dict, col) -> tuple:
     return out, norm // g
 
 
-def _rref(int_rows: Sequence[dict]):
+def _rref(int_rows: Sequence[dict], limit=None):
     """Canonical reduced echelon form of Gaussian-integer rows.
 
-    Returns (rows, den, pivot_cols): the reduced rows times their least common
-    denominator den, aligned with the pivot columns ascending. Independent
-    column blocks are reduced separately; their reduced rows have disjoint
-    support, so merging sorted by pivot keeps the form canonical.
+    Returns (rows, den, pivot_cols, rest): the reduced rows times their least
+    common denominator den, aligned with the pivot columns ascending, and the
+    rows left without a pivot. Pivots lie before column ``limit`` if given, and
+    ``rest`` past it; without a limit ``rest`` is empty. Independent column
+    blocks are reduced separately; their reduced rows have disjoint support, so
+    merging sorted by pivot keeps the form canonical.
     """
-    merged = []
+    merged, rest = [], []
     for group in _components(int_rows):
         rows = {i: dict(int_rows[i]) for i in group}
-        pivots = _eliminate(rows, reduced=True)
-        merged.extend((col, *_normalise(rows[rid], col)) for col, rid in pivots)
+        pivots = _eliminate(rows, reduced=True, pivot_limit=limit)
+        merged.extend((col, *_normalise(rows.pop(rid), col)) for col, rid in pivots)
+        rest.extend(row for row in rows.values() if row)
     merged.sort(key=lambda item: item[0])
     den = lcm(*(d for _, _, d in merged))
-    return [_scaled(row, den // d) for _, row, d in merged], den, [c for c, _, _ in merged]
+    return [_scaled(row, den // d) for _, row, d in merged], den, [c for c, _, _ in merged], rest
 
 
 def rref_rows(vectors: Sequence[Mapping]):
@@ -442,7 +445,7 @@ def rref_rows(vectors: Sequence[Mapping]):
     Returns (pivot_cols, rows) with pivot columns ascending, pivot entries 1
     and pivot columns cleared elsewhere; dependent input rows simply drop out.
     """
-    rows, den, pivots = _rref(to_int_rows(vectors))
+    rows, den, pivots, _ = _rref(to_int_rows(vectors))
     return pivots, [_rationals(row, den) for row in rows]
 
 
@@ -476,36 +479,24 @@ def rank_rows(vectors: Sequence[Mapping]) -> int:
 def int_kernel_rows(int_rows: Sequence[dict], ncols: int) -> "SubspaceBasis":
     """Canonical basis of the joint kernel of Gaussian-integer pair rows.
 
-    One Gauss-Jordan per column block, with the columns taken in descending
-    order, leaves each pivot row with its pivot p at its largest column. For a
-    free column f, the vector with 1 at f and -row_p[f] / row_p[p] at each
-    pivot p has its leading 1 at f and zeros at the other free columns, so
-    these vectors already are the canonical basis. They are read off a
-    transpose mapping each free column to its (pivot, entry) pairs.
+    The reduced echelon form of the rows, columns taken in descending order,
+    has each pivot p at its row's largest column. For a free column f, the
+    vector with 1 at f and -row_p[f] / row_p[p] at each pivot p has its leading
+    1 at f and zeros at the other free columns, so these vectors already are
+    the canonical basis, over the form's denominator; each pivot row fills in
+    its entries of them.
     """
     top = ncols - 1
-    den, pivot_cols, by_free = 1, set(), {}
-    for group in _components(int_rows):
-        rows = {i: {top - c: v for c, v in int_rows[i].items()} for i in group}
-        pivots = _eliminate(rows, reduced=True)
-        if pivots[0][0] < 0:
-            raise ValueError("row support exceeds stated column count")
-        for col, rid in pivots:
-            row, d = _normalise(rows[rid], col)
-            den = lcm(den, d)
-            del row[col]
-            pivot_cols.add(top - col)
-            for c, v in row.items():
-                by_free.setdefault(top - c, []).append((top - col, v, d))
-    free = [f for f in range(ncols) if f not in pivot_cols]
-    vecs = []
-    for f in free:
-        vec = {f: (den, 0)}
-        for p, (a, b), d in by_free.get(f, ()):
-            m = den // d
-            vec[p] = (-a * m, -b * m)
-        vecs.append(vec)
-    return SubspaceBasis(ncols, vecs, den, free, _trusted=True)
+    rows, den, flipped, _ = _rref([{top - c: v for c, v in row.items()} for row in int_rows])
+    if flipped and flipped[0] < 0:
+        raise ValueError("row support exceeds stated column count")
+    pivot_cols = {top - col for col in flipped}
+    vecs = {f: {f: (den, 0)} for f in range(ncols) if f not in pivot_cols}
+    for col, row in zip(flipped, rows):
+        for c, (a, b) in row.items():
+            if c != col:
+                vecs[top - c][top - col] = (-a, -b)
+    return SubspaceBasis(ncols, list(vecs.values()), den, list(vecs), _trusted=True)
 
 
 def kernel_rows(vectors: Sequence[Mapping], ncols: int) -> "SubspaceBasis":
@@ -527,21 +518,14 @@ class RowFactor:
     __slots__ = ("rank", "_cols", "_den")
 
     def __init__(self, rows: Sequence[dict], ncols: int):
-        int_rows = {i: dict(r) for i, r in enumerate(rows)}
-        pivots = _eliminate(int_rows, reduced=True, pivot_limit=ncols)
-        reduced = [(pc, *_normalise(int_rows[rid], pc)) for pc, rid in pivots]
+        reduced, self._den, pivots, rest = _rref(rows, ncols)
         self.rank, self._cols = len(pivots), {}
-        self._den = lcm(*(d for _, _, d in reduced))
         # pivot rows keep a tail in the data columns, the others lie only there:
-        # data column -> [(pivot column, tail entry times _den) or (-1 - row id, entry)]
-        for pc, row, d in reduced:
-            m = self._den // d
-            for c, (a, b) in row.items():
+        # data column -> [(pivot column, tail entry times _den) or (-1 - rest id, entry)]
+        for key, row in [*zip(pivots, reduced), *((-1 - i, r) for i, r in enumerate(rest))]:
+            for c, v in row.items():
                 if c >= ncols:
-                    self._cols.setdefault(c, []).append((pc, (a * m, b * m)))
-        for rid in set(int_rows) - {rid for _, rid in pivots}:
-            for c, v in int_rows[rid].items():
-                self._cols.setdefault(c, []).append((-1 - rid, v))
+                    self._cols.setdefault(c, []).append((key, v))
 
     def solve(self, x: Mapping):
         (data,), den = _ints([x])
@@ -613,7 +597,7 @@ class SubspaceBasis:
                 if not 0 <= c < ambient_dim:
                     raise ValueError("coordinate outside ambient space")
             as_dicts.append(vec)
-        return cls(ambient_dim, *_rref(to_int_rows(as_dicts)), _trusted=True)
+        return cls(ambient_dim, *_rref(to_int_rows(as_dicts))[:3], _trusted=True)
 
     @property
     def vectors(self) -> list:

@@ -8,11 +8,13 @@ index order the fields satisfy [L_{a i}, L_{b j}] = g_{a b} d_{i j}, which the
 build verifies symbolically; the bracket test is what pins the sign and the
 1/2 factor.
 
-The symbol tableau lives in V* (x) Sp with V* the matrix block followed by
-the skew block: the matrix part obeys the usual Clifford symbol relation and
-the skew part is unconstrained. Prolongations are graded by the number of
-skew indices, and the graded split below reads that grading off the
-prolongation written out as tensors.
+The symbol tableau and the weighted solution slices come from
+:class:`~kdirac.polynomials.SlotSystem`. The tableau lives in V* (x) Sp with
+V* the matrix block followed by the skew block: the matrix part obeys the
+usual Clifford symbol relation and, since the y-derivatives enter only with
+the coefficients x_{a j}, the skew part is unconstrained. Prolongations are
+graded by the number of skew indices, and the graded split below reads that
+grading off the prolongation written out as tensors.
 """
 
 from itertools import product
@@ -24,44 +26,36 @@ from .linalg import (
     ExactMatrix,
     GaussRational,
     InvariantViolation,
-    SubspaceBasis,
     ZERO,
     _projected_ranks,
-    kernel_rows,
     rank_rows,
 )
 from .polynomials import (
     DiffOp,
+    SlotSystem,
     SpinorPoly,
     VariableSet,
     apply_op,
     monomial_basis,
     scalar_multiply,
-    solution_space,
     solve_correction,
 )
-from .tableau import (
-    OrderedBasis,
-    Tableau,
-    cartan_test,
-    prolong,
-    search_ordering,
-    tensors,
-)
+from .tableau import OrderedBasis, cartan_test, prolong, search_ordering, tensors
 
 
-class ParabolicSystem:
-    """Left-invariant fields and slot operators on the extended space."""
+class ParabolicSystem(SlotSystem):
+    """Left-invariant fields and slot operators on the extended space. The
+    ``solve_correction`` memo serves the lifts."""
+
+    prefix = "p"
 
     def __init__(self, rep: CliffordRep):
-        self.rep = rep
-        self.params = rep.params
         n, k, s = rep.params.n, rep.params.k, rep.params.s
         self.y_pairs = [(r, t) for r in range(1, k + 1) for t in range(r + 1, k + 1)]
         names = [f"x_{a}_{i}" for a in range(1, n + 1) for i in range(1, k + 1)]
         names += [f"y_{r}_{t}" for r, t in self.y_pairs]
         weights = [1] * (n * k) + [2] * len(self.y_pairs)
-        self.vars = VariableSet.of(names, weights)
+        super().__init__(rep, VariableSet.of(names, weights))
         ident = ExactMatrix.identity(s)
         self.lfields = [
             DiffOp(self.vars, s, self._field_terms(a, i, ident))
@@ -69,29 +63,7 @@ class ParabolicSystem:
             for i in range(1, k + 1)
         ]
         self.ops = [self._slot_op(i) for i in range(1, k + 1)]
-        self._tableau = None
         self._euclidean = None
-        self._spaces = {}
-        self._factors = {}  # lift solves of the slot ops, see solve_correction
-
-    @property
-    def n(self):
-        return self.params.n
-
-    @property
-    def k(self):
-        return self.params.k
-
-    @property
-    def s(self):
-        return self.params.s
-
-    @property
-    def dim_V(self):
-        return self.n * self.k + len(self.y_pairs)
-
-    def x_index(self, alpha: int, i: int) -> int:
-        return (alpha - 1) * self.k + (i - 1)
 
     def y_index(self, r: int, t: int) -> int:
         return self.n * self.k + self.y_pairs.index((r, t))
@@ -100,12 +72,12 @@ class ParabolicSystem:
         """Terms of L_{alpha i} followed by ``matrix``: d/dx_{alpha i} and
         -1/2 sum_j x_{alpha j} d_{i j}, with the sign of the skew derivative
         resolved onto the stored coordinates y_{r t}, r < t."""
-        terms = [({self.vars.zero_exponents(): GaussRational(1)}, self.x_index(alpha, i), matrix)]
+        terms = [({self.vars.zero_exponents(): GaussRational(1)}, self.var_index(alpha, i), matrix)]
         for j in range(1, self.k + 1):
             if j == i:
                 continue
             exp = list(self.vars.zero_exponents())
-            exp[self.x_index(alpha, j)] = 1
+            exp[self.var_index(alpha, j)] = 1
             if i < j:
                 terms.append(({tuple(exp): -HALF}, self.y_index(i, j), matrix))
             else:
@@ -120,7 +92,7 @@ class ParabolicSystem:
         return DiffOp(self.vars, self.s, terms)
 
     def lfield(self, alpha: int, i: int) -> DiffOp:
-        return self.lfields[(alpha - 1) * self.k + (i - 1)]
+        return self.lfields[self.var_index(alpha, i)]
 
     def y_derivative(self, i: int, j: int) -> DiffOp:
         """The signed derivative d_{i j}; zero operator is refused (i = j)."""
@@ -146,30 +118,6 @@ class ParabolicSystem:
             self.embed_euclidean_poly(p)
             for p in self.euclidean().monogenic_polynomials(degree)
         ]
-
-    def weighted_monogenic_space(self, r: int) -> SubspaceBasis:
-        if r not in self._spaces:
-            self._spaces[r] = solution_space(self.ops, self.vars, self.s, r)
-        return self._spaces[r]
-
-    def tableau(self) -> Tableau:
-        """Symbol tableau: matrix block constrained by the Clifford symbol,
-        skew block free."""
-        if self._tableau is None:
-            rows = []
-            for i in range(self.k):
-                for nu in range(self.s):
-                    row = {}
-                    for alpha in range(self.n):
-                        base = (alpha * self.k + i) * self.s
-                        for (r, c), v in self.rep.gamma[alpha].entries.items():
-                            if r == nu:
-                                row[base + c] = v
-                    rows.append(row)
-            basis = kernel_rows(rows, self.dim_V * self.s)
-            self._tableau = Tableau(self.dim_V, self.s, basis)
-            self._tableau.system = f"p({self.n},{self.k})"
-        return self._tableau
 
 
 def build_parabolic(n: int, k: int) -> ParabolicSystem:
@@ -217,9 +165,9 @@ def parabolic_level0_ordering(sys: ParabolicSystem) -> OrderedBasis:
     """Matrix covectors with alpha < n first, then the skew covectors, then
     the alpha = n column block."""
     n, k = sys.n, sys.k
-    order = [sys.x_index(a, i) for a in range(1, n) for i in range(1, k + 1)]
+    order = [sys.var_index(a, i) for a in range(1, n) for i in range(1, k + 1)]
     order += [sys.y_index(r, t) for r, t in sys.y_pairs]
-    order += [sys.x_index(n, i) for i in range(1, k + 1)]
+    order += [sys.var_index(n, i) for i in range(1, k + 1)]
     return OrderedBasis.permutation(order, "paper")
 
 
@@ -236,20 +184,15 @@ def parabolic_level1_ordering(sys: ParabolicSystem) -> OrderedBasis:
     return OrderedBasis.from_rows(rows, "paper")
 
 
-def parabolic_cartan_suite(sys: ParabolicSystem, level0_ob=None, level1_ob=None):
-    """Cartan reports for the symbol tableau and its first prolongation."""
+def parabolic_cartan_suite(sys: ParabolicSystem):
+    """Cartan reports for the symbol tableau under the paper level-0 flag and
+    its first prolongation under the paper level-1 flag (k = 2) or the greedy
+    one."""
     t0 = sys.tableau()
-    if level0_ob is None:
-        level0_ob = parabolic_level0_ordering(sys)
-    report0 = cartan_test(t0, level0_ob)
+    report0 = cartan_test(t0, parabolic_level0_ordering(sys))
     lifted = prolong(t0).lifted
-    if level1_ob is None:
-        if sys.k == 2:
-            level1_ob = parabolic_level1_ordering(sys)
-        else:
-            level1_ob = search_ordering(lifted, "greedy")
-    report1 = cartan_test(lifted, level1_ob)
-    return report0, report1
+    flag = parabolic_level1_ordering(sys) if sys.k == 2 else search_ordering(lifted, "greedy")
+    return report0, cartan_test(lifted, flag)
 
 
 def level0_rhs_formula(n: int, k: int, s: int) -> int:
@@ -310,7 +253,7 @@ def parabolic_prolongation_decomposition(sys: ParabolicSystem, level: int = 1):
 
 def y_free_dim(sys: ParabolicSystem, r: int) -> int:
     """Dimension of the y-independent part of the weighted-degree-r slice."""
-    basis = sys.weighted_monogenic_space(r)
+    basis = sys.monogenic_space(r)
     nk, s = sys.n * sys.k, sys.s
     y_cols = {
         idx * s + mu

@@ -1,5 +1,5 @@
-"""Spinor-valued polynomials and first-order operators with polynomial
-coefficients.
+"""Spinor-valued polynomials, first-order operators with polynomial
+coefficients, and the skeleton both k-Dirac systems share.
 
 Variables carry positive integer weights (weight 1 for matrix coordinates,
 weight 2 for the skew coordinates of the extended space), monomials are graded
@@ -10,6 +10,10 @@ A differential operator is a sum of terms (coefficient polynomial) *
 (coordinate derivative) * (spinor matrix). Homogeneous operators shift the
 weighted degree by a fixed amount; ``solution_space`` exploits that to reduce
 "all weighted-degree-r solutions" to one exact kernel computation.
+
+A :class:`SlotSystem` is k such slot operators on a variable set: it reads
+its symbol tableau off the operators' constant-coefficient terms and keeps
+the memos of its solution slices and of ``solve_correction``.
 
 Coefficients are GaussRational at the interface. Inside, each operator keeps
 one term table of Gaussian-integer pairs over one denominator: ``apply_op``
@@ -30,6 +34,7 @@ from .linalg import (
     int_kernel_rows,
     int_pivot_cols,
 )
+from .tableau import Tableau
 
 Exponents = tuple
 
@@ -402,3 +407,73 @@ def basis_polynomials(vars: VariableSet, spinor_dim: int, weighted_degree: int, 
     """Reconstruct SpinorPoly objects from solution-space coordinate vectors."""
     monos = monomial_basis(vars, weighted_degree)
     return [_as_poly(vars, spinor_dim, monos, vec) for vec in basis.vectors]
+
+
+class SlotSystem:
+    """The k slot operators ``ops`` of a k-Dirac system on ``vars``; a
+    subclass sets ``ops`` after this constructor. V*-coordinates follow
+    ``vars``: the matrix block x_{alpha i} alpha-major, then any others.
+    A subclass's ``prefix`` names the system in failure messages, as in
+    "e(3,2)".
+    """
+
+    def __init__(self, rep, vars: VariableSet):
+        self.rep = rep
+        self.params = rep.params
+        self.vars = vars
+        self._tableau = None
+        self._spaces = {}
+        self._factors = {}  # the solve_correction memo of the extension or lift
+
+    @property
+    def n(self):
+        return self.params.n
+
+    @property
+    def k(self):
+        return self.params.k
+
+    @property
+    def s(self):
+        return self.params.s
+
+    @property
+    def dim_V(self):
+        return len(self.vars)
+
+    def var_index(self, alpha: int, i: int) -> int:
+        """0-based variable/coordinate index of x_{alpha i} (1-based labels)."""
+        if not (1 <= alpha <= self.n and 1 <= i <= self.k):
+            raise ValueError("matrix entry labels out of range")
+        return (alpha - 1) * self.k + (i - 1)
+
+    def tableau(self) -> Tableau:
+        """Symbol tableau: the kernel in V* (x) Sp of the principal symbol at
+        the origin, where only constant coefficients survive. Row (op, nu)
+        holds at coordinate var * s + mu the (nu, mu) entry of the op's
+        constant-coefficient matrix at d/d(var), read off its term table."""
+        if self._tableau is None:
+            const, s = self.vars.zero_exponents(), self.s
+            rows = []
+            for op in self.ops:
+                block = [{} for _ in range(s)]
+                for var, cexp, cols in op._table:
+                    if cexp == const:
+                        for mu, column in enumerate(cols):
+                            for nu, v in column:
+                                block[nu][var * s + mu] = v
+                rows += block
+            self._tableau = Tableau(self.dim_V, s, int_kernel_rows(rows, self.dim_V * s))
+            self._tableau.system = f"{self.prefix}({self.n},{self.k})"
+        return self._tableau
+
+    def monogenic_space(self, r: int) -> SubspaceBasis:
+        """Basis of the weighted-degree-r solutions, see ``solution_space``."""
+        if r not in self._spaces:
+            self._spaces[r] = solution_space(self.ops, self.vars, self.s, r)
+        return self._spaces[r]
+
+    def monogenic_dim(self, r: int) -> int:
+        if r in self._spaces:
+            return self._spaces[r].dim
+        return solution_dim(self.ops, self.vars, self.s, r)

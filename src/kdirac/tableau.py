@@ -320,13 +320,11 @@ def _where(t: Tableau, ob: OrderedBasis) -> str:
     return f"{t.system} level {t.level}, ordering '{ob.label}'"
 
 
-def cartan_test(t: Tableau, ob: OrderedBasis = None, dim_prolongation_hint=None) -> CartanReport:
+def cartan_test(t: Tableau, ob: OrderedBasis = None) -> CartanReport:
     """Run Cartan's test for the tableau under the given ordering.
 
-    ``dim_prolongation_hint`` may carry a prolongation dimension computed by
-    an equivalent route (for the symbol tableaux of homogeneous systems, the
-    next solution space); when absent the generic prolongation is used. The
-    test inequality is asserted, never assumed.
+    dim A^(1) comes from ``prolongation_dim``. The test inequality is
+    asserted, never assumed.
     """
     if ob is None:
         ob = OrderedBasis.identity(t.dim_V)
@@ -337,7 +335,7 @@ def cartan_test(t: Tableau, ob: OrderedBasis = None, dim_prolongation_hint=None)
         characters.append(prev - d)
         prev = d
     rhs = sum(k * s for k, s in enumerate(characters, start=1))
-    dim_p = dim_prolongation_hint if dim_prolongation_hint is not None else prolongation_dim(t)
+    dim_p = prolongation_dim(t)
     if dim_p > rhs:
         raise InvariantViolation(
             f"{_where(t, ob)}: Cartan bound violated: dim A^(1) = {dim_p} > {rhs} = rhs"

@@ -73,22 +73,17 @@ class TestLevelZero:
 class TestLevelOne:
     def test_paper_ordering_characters_n3(self, sys32):
         lifted = prolong(sys32.tableau()).lifted
-        report = cartan_test(
-            lifted,
-            level1_ordering(sys32),
-            dim_prolongation_hint=sys32.monogenic_dim(3),
-        )
+        report = cartan_test(lifted, level1_ordering(sys32))
         assert report.characters == (8, 6, 4, 0, 0, 0)
         assert report.rhs_cartan_test == 32
-        assert report.dim_prolongation == 32
+        assert report.dim_prolongation == sys32.monogenic_dim(3) == 32
         assert report.involutive
 
     def test_greedy_matches_paper_rhs_n3(self, sys32):
         lifted = prolong(sys32.tableau()).lifted
         greedy = search_ordering(lifted, "greedy")
-        report = cartan_test(
-            lifted, greedy, dim_prolongation_hint=sys32.monogenic_dim(3)
-        )
+        report = cartan_test(lifted, greedy)
+        assert report.dim_prolongation == sys32.monogenic_dim(3)
         assert report.rhs_cartan_test == 32
         assert report.involutive
 
@@ -96,21 +91,16 @@ class TestLevelOne:
         sys43 = build_euclidean(4, 3)
         lifted = prolong(sys43.tableau()).lifted
         greedy = search_ordering(lifted, "greedy")
-        cubic = sys43.monogenic_dim(3)
-        hinted = cartan_test(lifted, greedy, dim_prolongation_hint=cubic)
-        plain = cartan_test(lifted, greedy)
-        assert plain == hinted
-        assert plain.characters == (36, 32, 28, 24, 20, 16, 12) + (0,) * 5
-        assert plain.rhs_cartan_test == plain.dim_prolongation == cubic == 560
-        assert plain.involutive
+        report = cartan_test(lifted, greedy)
+        assert report.dim_prolongation == sys43.monogenic_dim(3)
+        assert report.characters == (36, 32, 28, 24, 20, 16, 12) + (0,) * 5
+        assert report.rhs_cartan_test == report.dim_prolongation == 560
+        assert report.involutive
 
     def test_paper_ordering_characters_n4(self, sys42):
         lifted = prolong(sys42.tableau()).lifted
-        report = cartan_test(
-            lifted,
-            level1_ordering(sys42),
-            dim_prolongation_hint=sys42.monogenic_dim(3),
-        )
+        report = cartan_test(lifted, level1_ordering(sys42))
+        assert report.dim_prolongation == sys42.monogenic_dim(3)
         s, n = sys42.s, sys42.n
         expected = tuple((2 * n - 1 - j) * s for j in range(1, 2 * n - 2)) + (0, 0, 0)
         assert report.characters == expected

@@ -1,5 +1,7 @@
-"""Broken invariants raise InvariantViolation: the package has no ``assert``
-statement, which ``python -O`` strips, and raises no AssertionError."""
+"""Source hygiene of the package. Broken invariants raise InvariantViolation:
+the package has no ``assert`` statement, which ``python -O`` strips, and
+raises no AssertionError. No module imports a name it never uses, unless the
+import line says ``noqa`` and why."""
 
 import ast
 from pathlib import Path
@@ -7,8 +9,14 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "kdirac"
 
 
-def offences(path):
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+def sources():
+    paths = sorted(SRC.rglob("*.py"))
+    assert paths
+    return [(path, path.read_text()) for path in paths]
+
+
+def offences(path, text):
+    for node in ast.walk(ast.parse(text, str(path))):
         if isinstance(node, ast.Assert):
             yield f"{path.name}:{node.lineno}: assert statement"
         elif isinstance(node, ast.Raise) and node.exc is not None:
@@ -17,7 +25,20 @@ def offences(path):
                 yield f"{path.name}:{node.lineno}: raise AssertionError"
 
 
+def unused_imports(path, text):
+    tree, lines = ast.parse(text, str(path)), text.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used and "noqa" not in lines[alias.lineno - 1]:
+                    yield f"{path.name}:{alias.lineno}: {name} imported but unused"
+
+
 def test_package_has_no_assert_or_assertion_error():
-    paths = sorted(SRC.rglob("*.py"))
-    assert paths
-    assert [o for path in paths for o in offences(path)] == []
+    assert [o for path, text in sources() for o in offences(path, text)] == []
+
+
+def test_package_imports_only_names_it_uses():
+    assert [o for path, text in sources() for o in unused_imports(path, text)] == []

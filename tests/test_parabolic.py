@@ -3,6 +3,7 @@ import random
 import pytest
 
 from kdirac import polynomials
+from kdirac.euclidean import build_euclidean
 from kdirac.linalg import GaussRational, RowFactor, rank_rows
 from kdirac.parabolic import (
     build_parabolic,
@@ -13,7 +14,6 @@ from kdirac.parabolic import (
     level1_rhs_formula,
     lift_check,
     parabolic_cartan_suite,
-    parabolic_level0_ordering,
     parabolic_level1_ordering,
     parabolic_prolongation_decomposition,
     two_jet_fiber_dim,
@@ -53,6 +53,11 @@ class TestFields:
         got = apply_op(l11, apply_op(l21, p)) - apply_op(l21, apply_op(l11, p))
         assert got.is_zero()
 
+    @pytest.mark.parametrize("alpha,i", [(0, 1), (4, 1), (1, 0), (1, 3)])
+    def test_field_labels_out_of_range(self, psys32, alpha, i):
+        with pytest.raises(ValueError):
+            psys32.lfield(alpha, i)
+
     def test_slots_kill_constants(self, psys32):
         const = SpinorPoly.monomial(psys32.vars, psys32.s, (0,) * 7, 1)
         for op in psys32.ops:
@@ -83,6 +88,14 @@ class TestTableau:
         assert psys32.tableau().dim == 10
         assert psys42.tableau().dim == 28
 
+    @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (5, 2), (3, 3)])
+    def test_matrix_block_is_the_euclidean_tableau_and_skew_block_free(self, n, k):
+        e, p = build_euclidean(n, k).tableau().basis, build_parabolic(n, k).tableau().basis
+        skew = range(e.ambient_dim, p.ambient_dim)
+        assert p.den == e.den
+        assert p.pivots == e.pivots + list(skew)
+        assert p.rows == e.rows + [{c: (e.den, 0)} for c in skew]
+
     def test_prolongation_dimension(self, psys32):
         assert prolong(psys32.tableau()).dim == 28
         assert level0_prolongation_formula(3, 2, 2) == 28
@@ -108,9 +121,7 @@ class TestTableau:
 
     def test_level0_k3(self):
         psys33 = build_parabolic(3, 3)
-        r0, r1 = parabolic_cartan_suite(
-            psys33, level0_ob=parabolic_level0_ordering(psys33)
-        )
+        r0, r1 = parabolic_cartan_suite(psys33)
         assert r0.dim_tableau == 18
         assert r0.rhs_cartan_test == level0_rhs_formula(3, 3, 2) == 90
         assert r0.dim_prolongation == 84
@@ -142,11 +153,16 @@ class TestDecompositions:
 
 class TestWeightedSlices:
     def test_degree_zero_and_one(self, psys32):
-        assert psys32.weighted_monogenic_space(0).dim == psys32.s
-        assert psys32.weighted_monogenic_space(1).dim == 8
+        assert psys32.monogenic_space(0).dim == psys32.s
+        assert psys32.monogenic_space(1).dim == 8
 
     def test_degree_two_regression(self, psys32):
-        assert psys32.weighted_monogenic_space(2).dim == 20
+        assert psys32.monogenic_space(2).dim == 20
+
+    def test_dimension_without_a_basis_matches_the_basis(self):
+        psys = build_parabolic(3, 2)  # fresh: no slice memoised yet
+        dims = [psys.monogenic_dim(r) for r in range(4)]
+        assert dims == [psys.monogenic_space(r).dim for r in range(4)]
 
     def test_y_free_slice_matches_matrix_space(self, psys32):
         for r in (1, 2):

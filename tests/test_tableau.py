@@ -22,7 +22,6 @@ from kdirac.linalg import (
 from kdirac.parabolic import build_parabolic
 from kdirac.tableau import (
     CartanReport,
-    InvariantViolation,
     OrderedBasis,
     Tableau,
     cartan_test,
@@ -215,13 +214,6 @@ class TestCartanTest:
             for s in range(1, 6)
         }
         assert len(dims) == 1
-
-    def test_hint_used_verbatim_but_bounded(self):
-        t = Tableau.full(2, 2)
-        report = cartan_test(t, dim_prolongation_hint=6)
-        assert report.dim_prolongation == 6
-        with pytest.raises(InvariantViolation):
-            cartan_test(t, dim_prolongation_hint=10**6)
 
 
 class TestH02:
