@@ -22,6 +22,11 @@ is read off the column rank profile (the pivot columns) that forward
 elimination of the transformed basis gives. Characters are the filtration
 increments and the test compares dim A^(1) with s_1 + 2 s_2 + ... + n s_n.
 
+The greedy ordering search reduces each candidate covector's W-block once and
+then re-reduces only rows whose lead the state has since reached. A gain only
+shrinks and ties go to the earliest candidate, so candidates whose stored gain
+cannot win are skipped; the flag is the one a full search gives.
+
 Everything here runs on Gaussian-integer pair rows: a tableau basis is a
 :class:`SubspaceBasis`, whose integer rows (the canonical basis times one
 denominator) feed the constraint matrix of the prolongation, the transformed
@@ -372,49 +377,68 @@ def _reduce_lead(vec: dict, *pivot_maps):
     return None
 
 
+def _residuals(rows, state: dict) -> dict:
+    """Rows forward-reduced in place against ``state`` and each other, by lead."""
+    out = {}
+    for row in rows:
+        lead = _reduce_lead(row, state, out)
+        if lead is not None:
+            out[lead] = row
+    return out
+
+
 def _greedy_ordering(t: Tableau) -> OrderedBasis:
     """Build the ordered basis backwards along the trailing flag.
 
     Candidates are the coordinate covectors plus all pairwise sums and
     differences. Each step picks the candidate whose W-block adds the most
-    new rank on top of the tableau, which minimises the next trailing
-    filtration dimension; ties go to the earliest candidate. The ordering is
-    fully determined by the tableau, hence reproducible.
+    rank to the state (the tableau plus the blocks chosen so far), which
+    minimises the next trailing filtration dimension; ties go to the earliest
+    candidate, so the ordering is reproducible.
 
-    The search runs on Gaussian-integer pair rows: every W-block, and each
-    candidate against the covectors already chosen, is forward-reduced by
-    leading column with fraction-free, content-stripped updates. Ranks do
-    not depend on row scaling, so every count, and with it the flag, is
-    exactly what reduction over Q(i) gives.
+    Each W-block is reduced against the tableau once; its residual rows are
+    kept, keyed by lead, and their number is the gain. A step reduces again
+    only the rows whose lead has since become a state pivot. The gain never
+    grows with the state (rank is submodular) and ties go to the earliest
+    candidate, so a candidate whose stored gain is at most the step's best
+    cannot win and is skipped (Minoux's lazy greedy rule): the flag is the
+    one a full re-reduction at every step gives. Rows are Gaussian-integer
+    pairs; ranks do not depend on row scaling, so every count is exact over
+    Q(i). The chosen covectors span V*, so dim A + gains = dim V * dim W.
     """
     n, w = t.dim_V, t.dim_W
-    candidates = [{i: (1, 0)} for i in range(n)]
+    covectors = [{i: (1, 0)} for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            candidates.append({i: (1, 0), j: (1, 0)})
-            candidates.append({i: (1, 0), j: (-1, 0)})
+            covectors.append({i: (1, 0), j: (1, 0)})
+            covectors.append({i: (1, 0), j: (-1, 0)})
     state = dict(zip(t.basis.pivots, t.basis.rows))
+    candidates = [
+        (c, _residuals([{slot * w + ww: v for slot, v in c.items()} for ww in range(w)], state))
+        for c in covectors
+    ]
     vstate = {}
     chosen_back = []
     for _ in range(n):
-        best, best_count, best_rows, best_vrow = None, -1, None, None
-        for cand in candidates:
+        best, best_count = None, -1
+        for k, (cand, residuals) in enumerate(candidates):
+            if len(residuals) <= best_count:
+                continue
             vrow = dict(cand)
             vlead = _reduce_lead(vrow, vstate)
             if vlead is None:
                 continue
-            added = {}
-            for ww in range(w):
-                block = {slot * w + ww: val for slot, val in cand.items()}
-                lead = _reduce_lead(block, state, added)
-                if lead is not None:
-                    added[lead] = block
-            if len(added) > best_count:
-                best, best_count, best_rows = cand, len(added), added
-                best_vrow = (vlead, vrow)
-        state.update(best_rows)
+            kept = _residuals(residuals.values(), state)
+            candidates[k] = (cand, kept)
+            if len(kept) > best_count:
+                best, best_count, best_vrow = k, len(kept), (vlead, vrow)
+        cand, rows = candidates.pop(best)
+        state.update(rows)
         vstate[best_vrow[0]] = best_vrow[1]
-        chosen_back.append(best)
+        chosen_back.append(cand)
+    if len(state) != n * w:
+        raise InvariantViolation(f"{t.system} level {t.level}, ordering 'greedy': "
+                                 f"dim A + gains = {len(state)} != {n * w} = dim V * dim W")
     rows = []
     for cand in reversed(chosen_back):
         row = [0] * n
@@ -430,8 +454,11 @@ def search_ordering(t: Tableau, strategy: str, seed: int = None) -> OrderedBasis
     ``given``: the identity ordering. ``greedy``: deterministic search over
     coordinate covectors and their pairwise combinations, maximising each
     successive character. ``random``: reproducible invertible matrix with
-    small integer entries drawn from the seeded generator.
+    small integer entries drawn from the seeded generator, the one strategy
+    that takes a seed.
     """
+    if strategy in ("given", "greedy") and seed is not None:
+        raise ValueError(f"ordering strategy {strategy!r} takes no seed, got {seed!r}")
     if strategy == "given":
         return OrderedBasis.identity(t.dim_V)
     if strategy == "greedy":

@@ -54,6 +54,10 @@ CASES = {
         ranks_off(parabolic),
         lambda: parabolic.parabolic_prolongation_decomposition(build_parabolic(3, 2)),
         ["p(3,2) level 1", "0 + 1 + 2 != 28 = dim A^(1)"]),
+    "greedy certificate": (
+        lambda mp: mp.setattr(tableau, "_residuals", lambda rows, state: {}),
+        lambda: tableau.search_ordering(build_euclidean(3, 2).tableau(), "greedy"),
+        ["e(3,2) level 0, ordering 'greedy'", "dim A + gains = 8 != 12 = dim V * dim W"]),
     "second graded split": (
         ranks_off(parabolic),
         lambda: parabolic.parabolic_prolongation_decomposition(build_parabolic(3, 2), level=2),

@@ -18,6 +18,7 @@ from kdirac.linalg import (
     SubspaceBasis,
     int_pivot_cols,
     rank_rows,
+    to_int_rows,
 )
 from kdirac.parabolic import build_parabolic
 from kdirac.tableau import (
@@ -275,6 +276,11 @@ class TestSearchOrdering:
         # any permutation gives the same characters on the full tableau
         assert cartan_test(t, ob).characters == cartan_test(t).characters
 
+    @pytest.mark.parametrize("strategy", ["given", "greedy"])
+    def test_seed_without_use_is_refused(self, strategy):
+        with pytest.raises(ValueError, match="takes no seed"):
+            search_ordering(Tableau.full(2, 1), strategy, seed=1)
+
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             search_ordering(Tableau.full(2, 1), "mystery")
@@ -295,6 +301,21 @@ class TestGreedyFlags:
             {2: 1}, {1: 1}, {0: 1},
         ]
 
+    @pytest.mark.parametrize("build,expected", [
+        (build_euclidean, [
+            {10: 1}, {9: 1}, {8: 1}, {6: 1}, {5: 1}, {4: 1}, {3: 1}, {3: 1, 11: 1},
+            {3: 1, 7: 1}, {2: 1}, {1: 1}, {0: 1},
+        ]),
+        (build_parabolic, [
+            {14: 1}, {13: 1}, {12: 1}, {10: 1}, {9: 1}, {8: 1}, {6: 1}, {5: 1}, {4: 1},
+            {3: 1}, {3: 1, 11: 1}, {3: 1, 7: 1}, {2: 1}, {1: 1}, {0: 1},
+        ]),
+    ])
+    def test_level1_k3_n4(self, build, expected):
+        """The sizes at which stored gains are skipped and residuals refreshed."""
+        lifted = prolong(build(4, 3).tableau()).lifted
+        assert search_ordering(lifted, "greedy").change.row_dicts() == expected
+
     @pytest.mark.parametrize(
         "build,n,k",
         [(build_euclidean, 3, 3), (build_euclidean, 4, 3), (build_parabolic, 3, 3)],
@@ -309,9 +330,9 @@ ENTRIES = (GR(1), GR(-1), GR(Fraction(1, 2)), GR(0, 1), GR(1, 1), GR(Fraction(-1
 
 
 @st.composite
-def small_tableaux(draw, max_V=3):
+def small_tableaux(draw, max_V=3, max_W=2):
     dim_V = draw(st.integers(1, max_V))
-    dim_W = draw(st.integers(1, 2))
+    dim_W = draw(st.integers(1, max_W))
     n = dim_V * dim_W
     entry = st.one_of(st.none(), st.sampled_from(ENTRIES))
     vecs = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n))
@@ -333,14 +354,17 @@ def brute_force_greedy(t):
     def block(cand):
         return [{slot * w + ww: v for slot, v in cand.items()} for ww in range(w)]
 
+    def rank(rows):
+        return len(int_pivot_cols(to_int_rows(rows)))
+
     state = list(t.basis.vectors)
     chosen = []
     for _ in range(n):
         best, best_gain = None, -1
         for cand in candidates:
-            if rank_rows(chosen + [cand]) == len(chosen):
+            if rank(chosen + [cand]) == len(chosen):
                 continue
-            gain = rank_rows(state + block(cand)) - rank_rows(state)
+            gain = rank(state + block(cand)) - rank(state)
             if gain > best_gain:
                 best, best_gain = cand, gain
         chosen.append(best)
@@ -352,6 +376,12 @@ class TestGreedyOracle:
     @settings(max_examples=80, deadline=None)
     @given(small_tableaux())
     def test_matches_brute_force_rule(self, t):
+        ob = search_ordering(t, "greedy")
+        assert ob.change.row_dicts() == brute_force_greedy(t)
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_tableaux(max_V=5, max_W=3))
+    def test_matches_brute_force_rule_up_to_dim_V_5(self, t):
         ob = search_ordering(t, "greedy")
         assert ob.change.row_dicts() == brute_force_greedy(t)
 
