@@ -14,7 +14,7 @@ eigenspaces are the two half-spinor summands, each of dimension s/2.
 
 from dataclasses import dataclass
 
-from .linalg import ExactMatrix, GaussRational, IMAG, ONE, ZERO, InvariantViolation
+from .linalg import ExactMatrix, GaussRational, IMAG, ONE, ZERO, InvariantViolation, _ints
 
 _PAULI_X = ExactMatrix.from_rows([[0, 1], [1, 0]])
 _PAULI_Y = ExactMatrix.from_rows([[0, GaussRational(0, -1)], [GaussRational(0, 1), 0]])
@@ -61,6 +61,22 @@ def _kron_chain(blocks) -> ExactMatrix:
     return out
 
 
+def int_bracket(a, b, sign: int) -> dict:
+    """a b + sign * b a for square matrices given as Gaussian-integer maps
+    (row, col) -> (re, im); the result keeps only its nonzero entries."""
+    out = {}
+    for x, y, f in ((a, b, 1), (b, a, sign)):
+        y_rows = {}
+        for (r, c), v in y.items():
+            y_rows.setdefault(r, []).append((c, v))
+        for (r, m), (xa, xb) in x.items():
+            xa, xb = f * xa, f * xb
+            for c, (ya, yb) in y_rows.get(m, ()):
+                cur = out.get((r, c), (0, 0))
+                out[(r, c)] = (cur[0] + xa * ya - xb * yb, cur[1] + xa * yb + xb * ya)
+    return {key: v for key, v in out.items() if v != (0, 0)}
+
+
 class CliffordRep:
     """Generators of the Clifford action on the spinor space.
 
@@ -83,28 +99,34 @@ class CliffordRep:
 
     def verify(self) -> None:
         """Check the defining relation and, for even n, the chirality split;
-        a failure raises InvariantViolation naming n and the generators."""
+        a failure raises InvariantViolation naming n and the generators. The
+        matrices are read as Gaussian-integer maps times 1/den (den = 1 for
+        entries in {0, +-1, +-i}), so every product is exact in integers and
+        the relations are compared at scale den^2."""
         n, s = self.n, self.s
-        minus_two_id = ExactMatrix.identity(s).scaled(GaussRational(-2))
+        mats = self.gamma + ([self.chirality] if self.chirality is not None else [])
+        ints, den = _ints([m.entries for m in mats])
+        gamma, sq = ints[:n], den * den
+
+        def scalar(c):
+            return {(i, i): (c * sq, 0) for i in range(s)} if c else {}
+
         for a in range(n):
             for b in range(a, n):
-                anti = self.gamma[a].matmul(self.gamma[b]) + self.gamma[b].matmul(
-                    self.gamma[a]
-                )
-                expected = minus_two_id if a == b else ExactMatrix(s, s)
-                if anti != expected:
+                if int_bracket(gamma[a], gamma[b], 1) != scalar(-2 if a == b else 0):
                     raise InvariantViolation(
                         f"n = {n}: Clifford relation g_a g_b + g_b g_a = -2 delta_ab"
                         f" fails for generators a = {a + 1}, b = {b + 1}")
         if self.chirality is not None:
-            if self.chirality.matmul(self.chirality) != ExactMatrix.identity(s):
+            chi = ints[n]
+            if int_bracket(chi, chi, 1) != scalar(2):
                 raise InvariantViolation(f"n = {n}: chirality must square to the identity")
-            plus = sum(1 for i in range(s) if self.chirality.entry(i, i) == ONE)
+            plus = sum(1 for i in range(s) if chi.get((i, i)) == (den, 0))
             if plus * 2 != s:
                 raise InvariantViolation(
                     f"n = {n}: half-spinor spaces of dimensions {plus} and {s - plus}")
-            for a, g in enumerate(self.gamma, 1):
-                if not (self.chirality.matmul(g) + g.matmul(self.chirality)).is_zero():
+            for a, g in enumerate(gamma, 1):
+                if int_bracket(chi, g, 1):
                     raise InvariantViolation(
                         f"n = {n}: chirality does not anticommute with generator {a}")
 

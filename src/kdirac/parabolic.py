@@ -6,7 +6,13 @@ field L_{a i} = d/dx_{a i} - 1/2 sum_j x_{a j} d_{i j}, where d_{i j} denotes
 the signed derivative along y (d_{i j} = -d_{j i}, d_{i i} = 0). With this
 index order the fields satisfy [L_{a i}, L_{b j}] = g_{a b} d_{i j}, which the
 build verifies symbolically; the bracket test is what pins the sign and the
-1/2 factor.
+1/2 factor. Each field is a derivation of the polynomial ring (first order,
+no zeroth-order term) tensored with the identity on spinors, and so is
+d_{i j}. The bracket of two derivations is again a derivation, and a
+derivation is fixed by its values on the coordinates. So the check confirms
+that each field acts on every spinor slot by one scalar, then compares both
+sides on 1 and the coordinates x_{a i}, y_{r t} alone; that proves the
+identity on every polynomial spinor.
 
 The symbol tableau and the weighted solution slices come from
 :class:`~kdirac.polynomials.SlotSystem`. The tableau lives in V* (x) Sp with
@@ -20,15 +26,15 @@ grading off the prolongation written out as tensors.
 from itertools import product
 from math import comb
 
-from .clifford import CliffordRep, build_spinor_rep
+from .clifford import CliffordRep, build_spinor_rep, int_bracket
 from .euclidean import EuclideanSystem, HALF, level1_ordering, require_monogenic
 from .linalg import (
     ExactMatrix,
     GaussRational,
     InvariantViolation,
-    ZERO,
+    _ints,
     _projected_ranks,
-    rank_rows,
+    int_pivot_cols,
 )
 from .polynomials import (
     DiffOp,
@@ -124,7 +130,7 @@ def build_parabolic(n: int, k: int) -> ParabolicSystem:
     """Build the system; the bracket identity and the tableau dimension are
     verified before returning."""
     sys = ParabolicSystem(build_spinor_rep(n, k))
-    check_bracket_identity(sys, max_weighted_degree=2)
+    check_bracket_identity(sys)
     expected = k * (n - 1) * sys.s + comb(k, 2) * sys.s
     got = sys.tableau().dim
     if got != expected:
@@ -133,27 +139,72 @@ def build_parabolic(n: int, k: int) -> ParabolicSystem:
     return sys
 
 
-def check_bracket_identity(sys: ParabolicSystem, max_weighted_degree: int) -> None:
-    """Verify [L_{a i}, L_{b j}] = g_{a b} d_{i j} on every monomial spinor of
-    weighted degree up to the bound. Raises InvariantViolation on failure."""
-    n, k, s = sys.n, sys.k, sys.s
-    probes = []
-    for d in range(max_weighted_degree + 1):
-        for exps in monomial_basis(sys.vars, d):
-            probes.append(SpinorPoly.monomial(sys.vars, s, exps, 0))
-    fields = [(a, i, sys.lfield(a, i)) for a in range(1, n + 1) for i in range(1, k + 1)]
-    for idx, (a, i, la) in enumerate(fields):
-        for b, j, lb in fields[idx:]:
-            for p in probes:
-                got = apply_op(la, apply_op(lb, p)) - apply_op(lb, apply_op(la, p))
-                if a == b and i != j:
-                    expected = apply_op(sys.y_derivative(i, j), p)
-                else:
-                    expected = SpinorPoly.zero(sys.vars, s)
-                if got != expected:
+def check_bracket_identity(sys: ParabolicSystem) -> None:
+    """Verify [L_{a i}, L_{b j}] = g_{a b} d_{i j} on every polynomial spinor.
+
+    First each field must act on every spinor slot by one scalar: each entry
+    of its term table maps slot mu to slot mu alone, with one coefficient for
+    all mu. A field is then a derivation tensored with the identity, and so
+    is d_{i j}. The bracket of two derivations is a derivation, and a
+    derivation is fixed by its values on the coordinates, so comparing both
+    sides on the probes 1, x_{a i} and y_{r t} in spinor slot 0 proves the
+    identity on all polynomials in every slot. Each field is applied to each
+    probe once; the second application reads those images by linearity.
+    Raises InvariantViolation naming the system, the two fields, the probe
+    and both images.
+    """
+    n, k, s, vars = sys.n, sys.k, sys.s, sys.vars
+    fields = {(a, i): sys.lfield(a, i) for a in range(1, n + 1) for i in range(1, k + 1)}
+    for (a, i), op in fields.items():
+        for _var, _cexp, cols in op._table:
+            v = cols[0][0][1] if cols[0] else None
+            if any(col != [(mu, v)] for mu, col in enumerate(cols)):
+                raise InvariantViolation(
+                    f"p({n},{k}): L_{a}{i} does not act on every spinor slot by one scalar")
+
+    def unit(key):
+        return SpinorPoly(vars, s, {key: 1})
+
+    keys = [(vars.zero_exponents(), 0)]
+    keys += [(tuple(int(u == v) for u in range(len(vars))), 0) for v in range(len(vars))]
+    labels = ["1"] + list(vars.names)
+    images = {f: {key: apply_op(op, unit(key)) for key in keys} for f, op in fields.items()}
+
+    def applied(f, poly):
+        out = SpinorPoly.zero(vars, s)
+        for key, v in poly.coeffs.items():
+            image = images[f].get(key)
+            if image is None:  # beyond the probes: apply afresh
+                image = apply_op(fields[f], unit(key))
+            out = out + image.scaled(v)
+        return out
+
+    zero = SpinorPoly.zero(vars, s)
+    skew = {}
+    for i, j in product(range(1, k + 1), repeat=2):
+        if i != j:
+            d = sys.y_derivative(i, j)
+            skew[i, j] = [apply_op(d, unit(key)) for key in keys]
+    order = list(fields)
+    for idx, (a, i) in enumerate(order):
+        for b, j in order[idx:]:
+            for x, (key, label) in enumerate(zip(keys, labels)):
+                want = skew[i, j][x] if a == b and i != j else zero
+                got = applied((a, i), images[b, j][key]) - applied((b, j), images[a, i][key])
+                if got != want:
                     raise InvariantViolation(
-                        f"p({n},{k}): bracket identity fails for L_{a}{i}, L_{b}{j}"
-                    )
+                        f"p({n},{k}): bracket [L_{a}{i}, L_{b}{j}] = g_{a}{b} d_{i}{j}"
+                        f" fails on the probe {label}: got {_show(got)}, expected {_show(want)}")
+
+
+def _show(poly: SpinorPoly) -> str:
+    """The terms of a spinor polynomial, as coefficient, monomial and slot."""
+    names = poly.vars.names
+    terms = []
+    for (e, mu), v in sorted(poly.coeffs.items()):
+        mono = "*".join(names[c] + (f"^{p}" if p > 1 else "") for c, p in enumerate(e) if p)
+        terms.append(f"({v}) {mono or '1'} e{mu}")
+    return " + ".join(terms) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -356,33 +407,35 @@ def two_jet_fiber_dim(sys: ParabolicSystem) -> int:
     v_pairs = sys.y_pairs
     ncols = a_cols + len(v_pairs) * s
 
+    gamma, den = _ints([g.entries for g in sys.rep.gamma])
     brackets = {}
     for a in range(2, n + 1):
         for b in range(2, n + 1):
-            if a == b:
-                continue
-            ga, gb = sys.rep.gamma[a - 1], sys.rep.gamma[b - 1]
-            m = ga.matmul(gb) + gb.matmul(ga).scaled(GaussRational(-1))
-            if not m.is_zero():
-                brackets[(a, b)] = m
+            if a != b:
+                m = int_bracket(gamma[a - 1], gamma[b - 1], -1)
+                if m:
+                    brackets[(a, b)] = m
 
+    # the brackets carry den^2, so the v column is scaled to match
+    v_coeff = (n - 2) * den * den
     rows = []
     for i in range(1, k + 1):
         for j in range(1, k + 1):
             for mu in range(s):
                 row = {}
                 for (a, b), m in brackets.items():
-                    for (rr, cc), val in m.entries.items():
+                    for (rr, cc), (re, im) in m.items():
                         if rr != mu:
                             continue
                         p = slot_idx[(a, i)]
                         q = slot_idx[(b, j)]
                         col = pair_idx[(p, q) if p <= q else (q, p)] * s + cc
-                        row[col] = row.get(col, ZERO) + val
+                        cur = row.get(col, (0, 0))
+                        row[col] = (cur[0] + re, cur[1] + im)
                 if i != j:
                     sign = 1 if j < i else -1
                     vp = v_pairs.index((j, i) if j < i else (i, j))
                     col = a_cols + vp * s + mu
-                    row[col] = row.get(col, ZERO) + sign * (n - 2)
-                rows.append({c: v for c, v in row.items() if v})
-    return ncols - rank_rows(rows)
+                    row[col] = (sign * v_coeff, 0)
+                rows.append({c: v for c, v in row.items() if v != (0, 0)})
+    return ncols - len(int_pivot_cols(rows))

@@ -402,9 +402,12 @@ def _greedy_ordering(t: Tableau) -> OrderedBasis:
     grows with the state (rank is submodular) and ties go to the earliest
     candidate, so a candidate whose stored gain is at most the step's best
     cannot win and is skipped (Minoux's lazy greedy rule): the flag is the
-    one a full re-reduction at every step gives. Rows are Gaussian-integer
-    pairs; ranks do not depend on row scaling, so every count is exact over
-    Q(i). The chosen covectors span V*, so dim A + gains = dim V * dim W.
+    one a full re-reduction at every step gives. A candidate whose covector
+    lies in the span of the chosen ones is dropped with its rows when it is
+    next examined; the span only grows, so it could never be picked. Rows
+    are Gaussian-integer pairs; ranks do not depend on row scaling, so every
+    count is exact over Q(i). The chosen covectors span V*, so
+    dim A + gains = dim V * dim W.
     """
     n, w = t.dim_V, t.dim_W
     covectors = [{i: (1, 0)} for i in range(n)]
@@ -427,12 +430,14 @@ def _greedy_ordering(t: Tableau) -> OrderedBasis:
             vrow = dict(cand)
             vlead = _reduce_lead(vrow, vstate)
             if vlead is None:
+                candidates[k] = (None, {})  # in the chosen span for good
                 continue
             kept = _residuals(residuals.values(), state)
             candidates[k] = (cand, kept)
             if len(kept) > best_count:
                 best, best_count, best_vrow = k, len(kept), (vlead, vrow)
-        cand, rows = candidates.pop(best)
+        cand, rows = candidates[best]
+        candidates = [c for k, c in enumerate(candidates) if c[0] is not None and k != best]
         state.update(rows)
         vstate[best_vrow[0]] = best_vrow[1]
         chosen_back.append(cand)

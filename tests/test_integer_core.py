@@ -1,10 +1,12 @@
 """The hot path runs on Gaussian-integer rows: GaussRational scalars are built
 only at the API edge, so none is built while prolonging, taking ranks of the
-solution slices, reading a filtration or re-checking a monogenic result."""
+solution slices, reading a filtration, re-checking a monogenic result or
+checking the Clifford relations."""
 
 import pytest
 
 from kdirac import linalg
+from kdirac.clifford import build_spinor_rep
 from kdirac.euclidean import build_euclidean
 from kdirac.parabolic import build_parabolic
 from kdirac.polynomials import apply_op, solution_dim
@@ -60,4 +62,12 @@ def test_apply_op_on_a_monogenic_input(system, built):
     built.clear()
     for op in system.ops:
         assert apply_op(op, psi).is_zero()
+    assert built == []
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_clifford_relations(built, n):
+    rep = build_spinor_rep(n)
+    built.clear()
+    rep.verify()
     assert built == []

@@ -58,6 +58,11 @@ CASES = {
         lambda mp: mp.setattr(tableau, "_residuals", lambda rows, state: {}),
         lambda: tableau.search_ordering(build_euclidean(3, 2).tableau(), "greedy"),
         ["e(3,2) level 0, ordering 'greedy'", "dim A + gains = 8 != 12 = dim V * dim W"]),
+    "bracket": (
+        lambda mp: mp.setattr(parabolic, "HALF", -parabolic.HALF),
+        lambda: build_parabolic(3, 2),
+        ["p(3,2)", "[L_11, L_12] = g_11 d_12", "on the probe y_1_2",
+         "got (-1) 1 e0, expected (1) 1 e0"]),
     "second graded split": (
         ranks_off(parabolic),
         lambda: parabolic.parabolic_prolongation_decomposition(build_parabolic(3, 2), level=2),

@@ -1,13 +1,14 @@
 import random
+from itertools import product
 
 import pytest
 
-from kdirac import polynomials
+from kdirac import parabolic, polynomials
 from kdirac.euclidean import build_euclidean
-from kdirac.linalg import GaussRational, RowFactor, rank_rows
+from kdirac.linalg import ExactMatrix, GaussRational, RowFactor, rank_rows
 from kdirac.parabolic import (
+    ParabolicSystem,
     build_parabolic,
-    check_bracket_identity,
     constant_poly,
     level0_prolongation_formula,
     level0_rhs_formula,
@@ -64,7 +65,47 @@ class TestFields:
             assert apply_op(op, const).is_zero()
 
     def test_bracket_identity_degree_three(self, psys32):
-        check_bracket_identity(psys32, max_weighted_degree=3)
+        # apart from check_bracket_identity: both field orders on every
+        # monomial of weighted degree <= 3 in every spinor slot
+        for sys in (psys32, build_parabolic(3, 3)):
+            fields = [(a, i) for a in range(1, sys.n + 1) for i in range(1, sys.k + 1)]
+            zero = SpinorPoly.zero(sys.vars, sys.s)
+            skew = {(i, j): sys.y_derivative(i, j)
+                    for i, j in product(range(1, sys.k + 1), repeat=2) if i != j}
+            for d in range(4):
+                for exps in monomial_basis(sys.vars, d):
+                    for mu in range(sys.s):
+                        p = SpinorPoly.monomial(sys.vars, sys.s, exps, mu)
+                        once = {f: apply_op(sys.lfield(*f), p) for f in fields}
+                        for x, (a, i) in enumerate(fields):
+                            for b, j in fields[x:]:
+                                got = (apply_op(sys.lfield(a, i), once[b, j])
+                                       - apply_op(sys.lfield(b, j), once[a, i]))
+                                want = apply_op(skew[i, j], p) if a == b and i != j else zero
+                                assert got == want, (sys.n, sys.k, a, i, b, j, exps, mu)
+
+    @pytest.mark.parametrize("fault", ["half sign flipped", "y-term dropped",
+                                       "matrix not scalar"])
+    def test_corrupted_field_fails_the_build(self, monkeypatch, fault):
+        if fault == "half sign flipped":
+            monkeypatch.setattr(parabolic, "HALF", -parabolic.HALF)
+        else:
+            original = ParabolicSystem._field_terms
+
+            def field_terms(self, alpha, i, matrix):
+                terms = original(self, alpha, i, matrix)
+                if (alpha, i) != (1, 1) or matrix != ExactMatrix.identity(self.s):
+                    return terms
+                if fault == "y-term dropped":
+                    return terms[:-1]
+                # slot 0 keeps d/dx_11, every odd slot gets its negative
+                (coeff, var, _), *rest = terms
+                flip = ExactMatrix(self.s, self.s, {(m, m): (-1) ** m for m in range(self.s)})
+                return [(coeff, var, flip)] + rest
+
+            monkeypatch.setattr(ParabolicSystem, "_field_terms", field_terms)
+        with pytest.raises(InvariantViolation, match=r"p\(3,2\): .*L_11"):
+            build_parabolic(3, 2)
 
     def test_slots_lower_weighted_degree(self, psys32):
         rng = random.Random(12)
