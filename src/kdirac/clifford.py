@@ -121,10 +121,10 @@ class CliffordRep:
             chi = ints[n]
             if int_bracket(chi, chi, 1) != scalar(2):
                 raise InvariantViolation(f"n = {n}: chirality must square to the identity")
-            plus = sum(1 for i in range(s) if chi.get((i, i)) == (den, 0))
-            if plus * 2 != s:
+            plus, minus = self.chirality_eigenspace_dims()
+            if plus != minus:
                 raise InvariantViolation(
-                    f"n = {n}: half-spinor spaces of dimensions {plus} and {s - plus}")
+                    f"n = {n}: half-spinor spaces of dimensions {plus} and {minus}")
             for a, g in enumerate(gamma, 1):
                 if int_bracket(chi, g, 1):
                     raise InvariantViolation(
