@@ -61,16 +61,15 @@ def _kron_chain(blocks) -> ExactMatrix:
     return out
 
 
-def int_bracket(a, b, sign: int) -> dict:
-    """a b + sign * b a for square matrices given as Gaussian-integer maps
+def int_anticommutator(a, b) -> dict:
+    """a b + b a for square matrices given as Gaussian-integer maps
     (row, col) -> (re, im); the result keeps only its nonzero entries."""
     out = {}
-    for x, y, f in ((a, b, 1), (b, a, sign)):
+    for x, y in ((a, b), (b, a)):
         y_rows = {}
         for (r, c), v in y.items():
             y_rows.setdefault(r, []).append((c, v))
         for (r, m), (xa, xb) in x.items():
-            xa, xb = f * xa, f * xb
             for c, (ya, yb) in y_rows.get(m, ()):
                 cur = out.get((r, c), (0, 0))
                 out[(r, c)] = (cur[0] + xa * ya - xb * yb, cur[1] + xa * yb + xb * ya)
@@ -113,20 +112,20 @@ class CliffordRep:
 
         for a in range(n):
             for b in range(a, n):
-                if int_bracket(gamma[a], gamma[b], 1) != scalar(-2 if a == b else 0):
+                if int_anticommutator(gamma[a], gamma[b]) != scalar(-2 if a == b else 0):
                     raise InvariantViolation(
                         f"n = {n}: Clifford relation g_a g_b + g_b g_a = -2 delta_ab"
                         f" fails for generators a = {a + 1}, b = {b + 1}")
         if self.chirality is not None:
             chi = ints[n]
-            if int_bracket(chi, chi, 1) != scalar(2):
+            if int_anticommutator(chi, chi) != scalar(2):
                 raise InvariantViolation(f"n = {n}: chirality must square to the identity")
             plus, minus = self.chirality_eigenspace_dims()
             if plus != minus:
                 raise InvariantViolation(
                     f"n = {n}: half-spinor spaces of dimensions {plus} and {minus}")
             for a, g in enumerate(gamma, 1):
-                if int_bracket(chi, g, 1):
+                if int_anticommutator(chi, g):
                     raise InvariantViolation(
                         f"n = {n}: chirality does not anticommute with generator {a}")
 

@@ -26,15 +26,13 @@ grading off the prolongation written out as tensors.
 from itertools import product
 from math import comb
 
-from .clifford import CliffordRep, build_spinor_rep, int_bracket
+from .clifford import CliffordRep, build_spinor_rep
 from .euclidean import EuclideanSystem, HALF, level1_ordering, require_monogenic
 from .linalg import (
     ExactMatrix,
     GaussRational,
     InvariantViolation,
-    _ints,
     _projected_ranks,
-    int_pivot_cols,
 )
 from .polynomials import (
     DiffOp,
@@ -370,64 +368,3 @@ def y_monomial(sys: ParabolicSystem, r: int, t: int, power: int = 1):
 
 def constant_poly(sys: ParabolicSystem):
     return {(0,) * len(sys.vars): GaussRational(1)}
-
-
-# ---------------------------------------------------------------------------
-# the second-jet fibre golden value
-# ---------------------------------------------------------------------------
-
-
-def two_jet_fiber_dim(sys: ParabolicSystem) -> int:
-    """Dimension of the linear space cut out by the second-jet bracket
-    relation: symmetric variables A over matrix slots with alpha >= 2 and a
-    skew block v, subject to
-        sum_{alpha,beta>=2} [gamma_alpha, gamma_beta] A_{(alpha i)(beta j)}
-            = (2 - n) v_{j i}.
-    The value is recorded as a regression number; the normalisation constant
-    itself is not asserted against anything else.
-    """
-    n, k, s = sys.n, sys.k, sys.s
-    slots = [(a, i) for a in range(2, n + 1) for i in range(1, k + 1)]
-    slot_idx = {p: i for i, p in enumerate(slots)}
-    pairs = []
-    pair_idx = {}
-    for p in range(len(slots)):
-        for q in range(p, len(slots)):
-            pair_idx[(p, q)] = len(pairs)
-            pairs.append((p, q))
-    a_cols = len(pairs) * s
-    v_pairs = sys.y_pairs
-    ncols = a_cols + len(v_pairs) * s
-
-    gamma, den = _ints([g.entries for g in sys.rep.gamma])
-    brackets = {}
-    for a in range(2, n + 1):
-        for b in range(2, n + 1):
-            if a != b:
-                m = int_bracket(gamma[a - 1], gamma[b - 1], -1)
-                if m:
-                    brackets[(a, b)] = m
-
-    # the brackets carry den^2, so the v column is scaled to match
-    v_coeff = (n - 2) * den * den
-    rows = []
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            for mu in range(s):
-                row = {}
-                for (a, b), m in brackets.items():
-                    for (rr, cc), (re, im) in m.items():
-                        if rr != mu:
-                            continue
-                        p = slot_idx[(a, i)]
-                        q = slot_idx[(b, j)]
-                        col = pair_idx[(p, q) if p <= q else (q, p)] * s + cc
-                        cur = row.get(col, (0, 0))
-                        row[col] = (cur[0] + re, cur[1] + im)
-                if i != j:
-                    sign = 1 if j < i else -1
-                    vp = v_pairs.index((j, i) if j < i else (i, j))
-                    col = a_cols + vp * s + mu
-                    row[col] = (sign * v_coeff, 0)
-                rows.append({c: v for c, v in row.items() if v != (0, 0)})
-    return ncols - len(int_pivot_cols(rows))

@@ -10,16 +10,22 @@ are indexed by (unordered covector pair, W-coordinate).
 ``prolong`` builds that kernel. ``prolongation_dim`` takes a smaller rank: for
 the tableau A^(q) q levels below its root A, A^(q+1) is the kernel of the
 equations of A (its annihilator) on every (q+1)-fold contraction of
-S^{q+2}V* (x) W (Seiler, *Involution*, ch. 6).
+S^{q+2}V* (x) W (Seiler, *Involution*, ch. 6). The equations are computed
+once per root tableau.
 
 ``tensors`` expands a tableau down its ``source`` chain, substituting each
 level's basis, into symmetric tensors over the root's V* and W.
 
 The Cartan filtration A_k intersects A with the span of the trailing vectors
-of an ordered basis of V*. After one change of coordinates, dim A_k is dim A
-minus the rank of the leading k * dim W columns, so every filtration dimension
-is read off the column rank profile (the pivot columns) that forward
-elimination of the transformed basis gives. Characters are the filtration
+u^{k+1..n} of an ordered basis of V*. For symmetric tensors the filtration of
+a prolongation is the prolongation of the filtration, (A^(q))_k = (A_k)^(q),
+so every filtration dimension is read off the root's equations. Rewritten in
+the u coordinates by the flag matrix itself, they cut out A^(q) in
+S^{q+1}V* (x) W with the columns sorted by descending least covector index.
+The multisets inside the trailing covectors are then a column prefix, and
+every equation outside it is zero on it, so dim A^(q)_k is the prefix width
+minus the pivot columns (the column rank profile, from one forward
+elimination) that fall in the prefix. Characters are the filtration
 increments and the test compares dim A^(1) with s_1 + 2 s_2 + ... + n s_n.
 
 The greedy ordering search reduces each candidate covector's W-block once and
@@ -29,15 +35,16 @@ cannot win are skipped; the flag is the one a full search gives.
 
 Everything here runs on Gaussian-integer pair rows: a tableau basis is a
 :class:`SubspaceBasis`, whose integer rows (the canonical basis times one
-denominator) feed the constraint matrix of the prolongation, the transformed
-bases of the filtration, the ordering search and the expansion of a
-prolongation into tensors. Uniform scaling keeps every kernel and rank, so
-no step needs the GaussRational view of a basis.
+denominator) feed the constraint matrix of the prolongation, the equations
+behind the prolongation dimension and the filtration, the ordering search and
+the expansion of a prolongation into tensors. Uniform scaling keeps every
+kernel and rank, so no step needs the GaussRational view of a basis.
 """
 
 import random as _random
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -86,6 +93,12 @@ class Tableau:
     def dim(self) -> int:
         return self.basis.dim
 
+    @cached_property
+    def equations(self) -> list:
+        """Gaussian-integer rows spanning the annihilator of the tableau, the
+        kernel of its basis rows."""
+        return int_kernel_rows(self.basis.rows, self.dim_V * self.dim_W).rows
+
     @classmethod
     def full(cls, dim_V: int, dim_W: int) -> "Tableau":
         vecs = [{c: ONE} for c in range(dim_V * dim_W)]
@@ -107,7 +120,6 @@ class OrderedBasis:
             raise ValueError("change of basis must be square")
         self.change = change
         self.label = label
-        self._inverse = None
 
     @classmethod
     def identity(cls, dim_V: int, label: str = "given") -> "OrderedBasis":
@@ -123,27 +135,6 @@ class OrderedBasis:
         if sorted(order) != list(range(n)):
             raise ValueError("not a permutation")
         return cls(ExactMatrix(n, n, {(i, j): ONE for i, j in enumerate(order)}), label)
-
-    def inverse_rows(self):
-        """(rows, den) with rows[j] / den row j of C^-1, C = ``change``. The
-        kernel of [I | -C] is {(C y, y)}: for invertible C its canonical vector
-        with pivot i is (e_i, C^-1 e_i), over one denominator; a singular C
-        puts a pivot past column n - 1."""
-        if self._inverse is None:
-            n = self.change.rows
-            rows, d = _ints(self.change.row_dicts())
-            system = [{r: (d, 0), **{n + j: (-a, -b) for j, (a, b) in row.items()}}
-                      for r, row in enumerate(rows)]
-            kernel = int_kernel_rows(system, 2 * n)
-            if kernel.pivots != list(range(n)):
-                raise ValueError(f"ordering '{self.label}' is singular")
-            inv = [{} for _ in range(n)]
-            for i, vec in enumerate(kernel.rows):
-                for c, v in vec.items():
-                    if c >= n:
-                        inv[c - n][i] = v
-            self._inverse = inv, kernel.den
-        return self._inverse
 
 
 @dataclass(frozen=True)
@@ -240,23 +231,33 @@ def prolong(t: Tableau) -> Prolongation:
     return Prolongation(t, coeffs)
 
 
-def prolongation_dim(t: Tableau) -> int:
-    """dim A^(q+1) for t = A^(q), q levels below its root A: the corank of the
-    equations of A on S^{q+2}V* (x) W, one row per multiset m of q+1 covector
-    indices and equation e, with e[i, w] at column (m + {i}, w)."""
-    root, q = t.root, t.level - t.root.level
-    n, w = root.dim_V, root.dim_W
-    equations = int_kernel_rows(root.basis.rows, n * w).rows
-    cols = {m: c * w for c, m in enumerate(combinations_with_replacement(range(n), q + 2))}
+def _symmetric_rows(equations, n: int, w: int, q: int):
+    """(rows, ncols): the equations of A^(q) on S^{q+1}V* (x) W, one row per
+    multiset m of q covector indices and equation e of A, with e[i, w] at
+    column (m + {i}, w). Multisets are sorted by descending least index, so
+    the ones inside the trailing indices k..n-1 come first, comb(n-k+q, q+1)
+    of them; each spans w columns."""
+    cols = sorted(combinations_with_replacement(range(n), q + 1), key=lambda m: -m[0])
+    pos = {m: c * w for c, m in enumerate(cols)}
     rows = []
-    for m in combinations_with_replacement(range(n), q + 1):
+    for m in combinations_with_replacement(range(n), q):
+        base = [pos[tuple(sorted(m + (i,)))] for i in range(n)]
         for e in equations:
             row = {}
             for coord, v in e.items():
                 i, ww = divmod(coord, w)
-                row[cols[tuple(sorted(m + (i,)))] + ww] = v
+                row[base[i] + ww] = v
             rows.append(row)
-    return len(cols) * w - len(int_pivot_cols(rows))
+    return rows, len(cols) * w
+
+
+def prolongation_dim(t: Tableau) -> int:
+    """dim A^(q+1) for t = A^(q), q levels below its root A: the corank of the
+    equations of A on S^{q+2}V* (x) W."""
+    root = t.root
+    rows, ncols = _symmetric_rows(root.equations, root.dim_V, root.dim_W,
+                                  t.level - root.level + 1)
+    return ncols - len(int_pivot_cols(rows))
 
 
 def h02_dim(t: Tableau) -> int:
@@ -274,24 +275,37 @@ def h02_dim(t: Tableau) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _transformed_rows(t: Tableau, ob: OrderedBasis):
-    """Tableau basis re-expressed in the ordered-basis coordinates, as
-    Gaussian-integer pair rows.
+def filtration_dims(t: Tableau, ob: OrderedBasis) -> list:
+    """dim A_k for k = 1..dim_V, where A_k keeps only the trailing covectors.
 
-    The inverse change of basis is scaled by one common denominator, never row
-    by row: its rows are combined into each output row (the paper level-1
-    ordering has entries 1/2 in its inverse)."""
-    if ob.change.rows != t.dim_V:
+    For t = A^(q), q levels below its root A, each equation e of A is
+    rewritten in the ordered-basis coordinates as e'[i, w] = sum_j C[i, j]
+    e[j, w], with C = ``change`` and no inverse formed. On S^{q+1}V* (x) W
+    the rewritten equations cut out A^(q), and A^(q)_k is their kernel on the
+    column prefix of multisets inside u^{k+1..n}: dim A^(q)_k is the prefix
+    width minus the pivot columns in the prefix. The whole corank must be
+    dim A^(q).
+    """
+    n = t.dim_V
+    if ob.change.rows != n:
         raise ValueError("ordering size must match dim V*")
-    inv, _den = ob.inverse_rows()
-    out = []
-    for vec in t.basis.rows:
+    change = _ints(ob.change.row_dicts())[0]
+    if len(int_pivot_cols(change)) != n:
+        raise ValueError(f"ordering '{ob.label}' is singular")
+    columns = [{} for _ in range(n)]  # columns[j][i] = C[i, j]
+    for i, row in enumerate(change):
+        for j, v in row.items():
+            columns[j][i] = v
+    root = t.root
+    w, q = root.dim_W, t.level - root.level
+    transformed = []
+    for e in root.equations:
         x = {}
-        for coord, (a, b) in vec.items():
-            j, w = divmod(coord, t.dim_W)
-            for i, (qa, qb) in inv[j].items():
-                key = i * t.dim_W + w
-                re, im = qa * a - qb * b, qa * b + qb * a
+        for coord, (a, b) in e.items():
+            j, ww = divmod(coord, w)
+            for i, (ca, cb) in columns[j].items():
+                key = i * w + ww
+                re, im = ca * a - cb * b, ca * b + cb * a
                 cur = x.get(key)
                 if cur is not None:
                     re, im = re + cur[0], im + cur[1]
@@ -299,26 +313,14 @@ def _transformed_rows(t: Tableau, ob: OrderedBasis):
                         del x[key]
                         continue
                 x[key] = (re, im)
-        out.append(x)
-    return out
-
-
-def filtration_dims(t: Tableau, ob: OrderedBasis) -> list:
-    """dim A_k for k = 1..dim_V, where A_k keeps only the trailing covectors.
-
-    dim A_k = dim A - rank of the leading k * dim_W columns of the transformed
-    basis, which is the number of its pivot columns (the column rank profile,
-    from forward elimination) lying in the trailing coordinate block.
-    """
-    pivots = int_pivot_cols(_transformed_rows(t, ob))
-    dims = [
-        len(pivots) - bisect_left(pivots, k * t.dim_W) for k in range(1, t.dim_V + 1)
-    ]
-    if dims and dims[-1] != 0:
-        raise InvariantViolation(
-            f"{_where(t, ob)}: A_n must vanish, dim A_{t.dim_V} = {dims[-1]} != 0"
-        )
-    return dims
+        transformed.append(x)
+    rows, ncols = _symmetric_rows(transformed, n, w, q)
+    pivots = int_pivot_cols(rows)
+    if ncols - len(pivots) != t.dim:
+        raise InvariantViolation(f"{_where(t, ob)}: corank of the equations "
+                                 f"{ncols - len(pivots)} != {t.dim} = dim A")
+    widths = [comb(n - k + q, q + 1) * w for k in range(1, n + 1)]
+    return [width - bisect_left(pivots, width) for width in widths]
 
 
 def _where(t: Tableau, ob: OrderedBasis) -> str:

@@ -48,7 +48,7 @@ def test_prolongation_and_slices(system, built):
 
 
 @pytest.mark.parametrize("strategy, seed", [("greedy", None), ("random", 1)])
-def test_filtration_once_the_inverse_is_warm(system, built, strategy, seed):
+def test_filtration_under_a_chosen_flag(system, built, strategy, seed):
     t = prolong(system.tableau()).lifted
     ob = search_ordering(t, strategy, seed)
     built.clear()

@@ -10,9 +10,9 @@ from kdirac.parabolic import build_parabolic
 from kdirac.tableau import InvariantViolation, Tableau, cartan_test, prolong
 
 
-def pivot_past_the_last_block(monkeypatch):
-    original = tableau.int_pivot_cols
-    monkeypatch.setattr(tableau, "int_pivot_cols", lambda rows: original(rows) + [10**6])
+def one_equation_short(monkeypatch):
+    equations = Tableau.equations.func
+    monkeypatch.setattr(Tableau, "equations", property(lambda t: equations(t)[1:]))
 
 
 def level0_report():
@@ -37,8 +37,8 @@ def ranks_off(module):
 
 
 CASES = {
-    "A_n": (pivot_past_the_last_block, level0_report,
-            ["e(3,2) level 0, ordering 'paper'", "A_n must vanish", "dim A_6 = 1 != 0"]),
+    "corank": (one_equation_short, level0_report,
+               ["e(3,2) level 0, ordering 'paper'", "corank of the equations 9 != 8 = dim A"]),
     "Cartan bound": (
         lambda mp: mp.setattr(tableau, "prolongation_dim", lambda t: 1000),
         level1_report,

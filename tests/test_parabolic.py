@@ -17,7 +17,6 @@ from kdirac.parabolic import (
     parabolic_cartan_suite,
     parabolic_level1_ordering,
     parabolic_prolongation_decomposition,
-    two_jet_fiber_dim,
     y_free_dim,
     y_monomial,
 )
@@ -300,9 +299,3 @@ class TestLiftBasis:
         # the unknowns are the 56 cubic x-monomials times s = 2
         assert "p(3,2) seed degree 1, y-degree 1" in str(err.value)
         assert "len(unknown) * s = 112" in str(err.value)
-
-
-class TestTwoJetFibre:
-    def test_regression_values(self, psys32, psys42):
-        assert two_jet_fiber_dim(psys32) == 20
-        assert two_jet_fiber_dim(psys42) == 84

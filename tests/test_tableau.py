@@ -12,8 +12,6 @@ from sympy.polys.matrices import DomainMatrix
 
 from kdirac.euclidean import build_euclidean, level1_ordering
 from kdirac.linalg import (
-    IMAG,
-    ExactMatrix,
     GaussRational,
     SubspaceBasis,
     int_pivot_cols,
@@ -121,18 +119,12 @@ class TestFiltration:
         assert dims[-1] == 0
         assert all(a >= b for a, b in zip(dims, dims[1:]))
 
-    def test_inverse_rows_with_different_denominators(self):
+    def test_flag_whose_inverse_has_different_denominators(self):
         # u1 = e1, u2 = e1 + 2 e2: e1 + e2 = u1/2 + u2/2 is not in span(u2),
         # so A_1 = 0; scaling only the 1/2 row of the inverse would give 1
         t = Tableau(2, 1, SubspaceBasis.from_vectors(2, [[1, 1]]))
         ob = OrderedBasis.from_rows([[1, 0], [1, 2]], "skew")
         assert filtration_dims(t, ob) == [0, 0] == sympy_filtration_dims(t, ob)
-
-    def test_inverse_roundtrip(self):
-        ob = OrderedBasis.from_rows([[1, 1, 0], [0, 1, IMAG], [1, 0, 1]], "with i")
-        rows, den = ob.inverse_rows()
-        entries = {(r, c): GR(a, b) for r, row in enumerate(rows) for c, (a, b) in row.items()}
-        assert ob.change.matmul(ExactMatrix(3, 3, entries)) == ExactMatrix.identity(3).scaled(den)
 
     def test_singular_ordering_rejected(self):
         t = Tableau.full(2, 1)
@@ -164,7 +156,8 @@ def sympy_filtration_dims(t, ob):
 @pytest.fixture(scope="module")
 def e32_levels():
     t0 = build_euclidean(3, 2).tableau()
-    return {0: t0, 1: prolong(t0).lifted}
+    t1 = prolong(t0).lifted
+    return {0: t0, 1: t1, 2: prolong(t1).lifted}
 
 
 class TestFiltrationOracle:
@@ -176,14 +169,53 @@ class TestFiltrationOracle:
         assert filtration_dims(t, ob) == sympy_filtration_dims(t, ob)
 
     def test_paper_level1_ordering_with_halves(self, e32_levels):
+        # the inverse of this flag has entries 1/2 and 1
         ob = level1_ordering(build_euclidean(3, 2))
-        rows, den = ob.inverse_rows()
-        assert den == 2 and (1, 0) in [v for row in rows for v in row.values()]
         t = e32_levels[1]
         dims = filtration_dims(t, ob)
         assert dims == sympy_filtration_dims(t, ob)
         characters = [a - b for a, b in zip([t.dim] + dims, dims)]
         assert characters == [8, 6, 4, 0, 0, 0]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_p32_level1_random_flags_match_sympy(self, seed):
+        t = prolong(build_parabolic(3, 2).tableau()).lifted
+        ob = search_ordering(t, "random", seed)
+        assert filtration_dims(t, ob) == sympy_filtration_dims(t, ob)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_level2_random_flags_match_sympy(self, e32_levels, seed):
+        """q = 2: the root's equations on S^3 V* (x) W against the lifted basis
+        of A^(2) inside V* (x) A^(1)."""
+        t = e32_levels[2]
+        ob = search_ordering(t, "random", seed)
+        assert filtration_dims(t, ob) == sympy_filtration_dims(t, ob)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dim_V,dim_W,count", [(3, 2, 4), (4, 2, 6), (3, 3, 6)])
+    def test_random_tableau_and_its_prolongation(self, seed, dim_V, dim_W, count):
+        t = random_tableau(random.Random(seed), dim_V, dim_W, count)
+        for tab in (t, prolong(t).lifted):
+            for ob in (OrderedBasis.identity(dim_V), search_ordering(tab, "random", seed)):
+                assert filtration_dims(tab, ob) == sympy_filtration_dims(tab, ob)
+
+
+class TestRandomFlagCertificates:
+    """Level 1 of the k = 3 tableaux and of e(4,2) is involutive under an exact
+    random flag, not only under the greedy or the paper flag."""
+
+    @pytest.mark.parametrize("build,n,k,characters", [
+        (build_euclidean, 4, 2, (24, 20, 16, 12, 8) + (0,) * 3),
+        (build_euclidean, 4, 3, (36, 32, 28, 24, 20, 16, 12) + (0,) * 5),
+        (build_parabolic, 4, 3, tuple(range(48, 8, -4)) + (0,) * 5),
+    ], ids=["e(4,2)", "e(4,3)", "p(4,3)"])
+    def test_level1_random_1(self, build, n, k, characters):
+        lifted = prolong(build(n, k).tableau()).lifted
+        report = cartan_test(lifted, search_ordering(lifted, "random", 1))
+        assert report.characters == characters
+        rhs = sum(j * c for j, c in enumerate(characters, start=1))
+        assert report.rhs_cartan_test == report.dim_prolongation == rhs
+        assert report.involutive
 
 
 class TestCartanTest:
