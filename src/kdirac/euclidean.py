@@ -30,7 +30,7 @@ from .polynomials import (
     scalar_multiply,
     solve_correction,
 )
-from .tableau import OrderedBasis, prolong, tensors
+from .tableau import OrderedBasis, multisets, tensors
 
 HALF = GaussRational("1/2")
 
@@ -128,19 +128,23 @@ def quadratic_component_dims(sys: EuclideanSystem):
     """Split the quadratic slice into its symmetric-symmetric and
     skew-skew components inside S^2(E (x) F) (x) Sp.
 
-    Projects the prolongation's tensors onto both summands and returns the two
-    ranks; their sum must reproduce the full dimension. Each projection is
-    taken times 2, which clears its 1/2 and keeps the rank.
+    Projects the symmetric tensors of A^(1) onto both summands and returns
+    the two ranks; their sum must reproduce the full dimension. The partner
+    of the entry at {(a1,i1),(a2,i2)} is the one at {(a1,i2),(a2,i1)}. Each
+    projection is taken times 2, which clears its 1/2 and keeps the rank.
     """
-    k, s, dim_V = sys.k, sys.s, sys.dim_V
-    lifted = prolong(sys.tableau()).lifted
+    k, s = sys.k, sys.s
+    rows = tensors(sys.tableau(), 1)
+    cols = multisets(sys.dim_V, 2)
+    pos = {m: c for c, m in enumerate(cols)}
+    swapped = []
+    for c1, c2 in cols:
+        (a1, i1), (a2, i2) = divmod(c1, k), divmod(c2, k)
+        swapped.append(pos[tuple(sorted((a1 * k + i2, a2 * k + i1)))])
 
     def partner(coord):
-        pair, w = divmod(coord, s)
-        c1, c2 = divmod(pair, dim_V)
-        a1, i1 = divmod(c1, k)
-        a2, i2 = divmod(c2, k)
-        return ((a1 * k + i2) * dim_V + (a2 * k + i1)) * s + w
+        m, w = divmod(coord, s)
+        return swapped[m] * s + w
 
     def part(sign):
         def image(row):
@@ -153,11 +157,11 @@ def quadratic_component_dims(sys: EuclideanSystem):
 
         return image
 
-    sym_dim, skew_dim = _projected_ranks(tensors(lifted), (part(1), part(-1)))
-    if sym_dim + skew_dim != lifted.dim:
+    sym_dim, skew_dim = _projected_ranks(rows, (part(1), part(-1)))
+    if sym_dim + skew_dim != len(rows):
         raise InvariantViolation(
             f"e({sys.n},{k}) level 1: component split does not add up: "
-            f"{sym_dim} + {skew_dim} != {lifted.dim} = dim A^(1)")
+            f"{sym_dim} + {skew_dim} != {len(rows)} = dim A^(1)")
     return sym_dim, skew_dim
 
 

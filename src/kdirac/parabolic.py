@@ -20,7 +20,7 @@ V* the matrix block followed by the skew block: the matrix part obeys the
 usual Clifford symbol relation and, since the y-derivatives enter only with
 the coefficients x_{a j}, the skew part is unconstrained. Prolongations are
 graded by the number of skew indices, and the graded split below reads that
-grading off the prolongation written out as tensors.
+grading off the columns of the prolongation's symmetric tensors.
 """
 
 from itertools import product
@@ -44,7 +44,7 @@ from .polynomials import (
     scalar_multiply,
     solve_correction,
 )
-from .tableau import OrderedBasis, cartan_test, prolong, search_ordering, tensors
+from .tableau import OrderedBasis, cartan_test, multisets, prolong, search_ordering, tensors
 
 
 class ParabolicSystem(SlotSystem):
@@ -262,28 +262,26 @@ def level1_rhs_formula(n: int, s: int) -> int:
 
 def parabolic_prolongation_decomposition(sys: ParabolicSystem, level: int = 1):
     """Component dimensions of A^(level) under the skew grading: the ranks of
-    its tensors over the root projected onto the coordinates with 0, 1, ...,
-    level + 1 skew indices among their covector slots. For k = 2 at level 1
-    these are the quadratic matrix-space solutions, the skew copy of the
-    tableau's matrix part, and the doubly-skew spinor block."""
+    its symmetric tensors projected onto the columns whose multiset holds 0,
+    1, ..., level + 1 skew indices. For k = 2 at level 1 these are the
+    quadratic matrix-space solutions, the skew copy of the tableau's matrix
+    part, and the doubly-skew spinor block."""
     if sys.k != 2:
         raise ValueError("the decomposition is tabulated for k = 2 only")
     if level < 0:
         raise ValueError("the prolongation level must be nonnegative")
-    t = sys.tableau()
-    for _ in range(level):
-        t = prolong(t).lifted
+    rows = tensors(sys.tableau(), level)
     nk = sys.n * sys.k
-    grade = [sum(c >= nk for c in slots)
-             for slots in product(range(sys.dim_V), repeat=level + 1) for _w in range(sys.s)]
-    dims = _projected_ranks(tensors(t), [
+    grade = [sum(c >= nk for c in m)
+             for m in multisets(sys.dim_V, level + 1) for _w in range(sys.s)]
+    dims = _projected_ranks(rows, [
         lambda row, g=g: {c: v for c, v in row.items() if grade[c] == g}
         for g in range(level + 2)
     ])
-    if sum(dims) != t.dim:
+    if sum(dims) != len(rows):
         raise InvariantViolation(
             f"p({sys.n},{sys.k}) level {level}: graded split does not add up: "
-            f"{' + '.join(map(str, dims))} != {t.dim} = dim A^({level})")
+            f"{' + '.join(map(str, dims))} != {len(rows)} = dim A^({level})")
     return dims
 
 

@@ -13,8 +13,9 @@ equations of A (its annihilator) on every (q+1)-fold contraction of
 S^{q+2}V* (x) W (Seiler, *Involution*, ch. 6). The equations are computed
 once per root tableau.
 
-``tensors`` expands a tableau down its ``source`` chain, substituting each
-level's basis, into symmetric tensors over the root's V* and W.
+``tensors`` takes the canonical basis of A^(q) as the kernel of the same
+equations, one column per (multiset of q+1 covector indices, W-index), so a
+basis row is the symmetric tensor's entries at sorted index tuples.
 
 The Cartan filtration A_k intersects A with the span of the trailing vectors
 u^{k+1..n} of an ordered basis of V*. For symmetric tensors the filtration of
@@ -37,7 +38,7 @@ Everything here runs on Gaussian-integer pair rows: a tableau basis is a
 :class:`SubspaceBasis`, whose integer rows (the canonical basis times one
 denominator) feed the constraint matrix of the prolongation, the equations
 behind the prolongation dimension and the filtration, the ordering search and
-the expansion of a prolongation into tensors. Uniform scaling keeps every
+the symmetric tensors of a prolongation. Uniform scaling keeps every
 kernel and rank, so no step needs the GaussRational view of a basis.
 """
 
@@ -177,12 +178,10 @@ class Prolongation:
     """Result of prolonging a tableau.
 
     ``lifted`` presents the prolongation as a tableau inside V* (x) A, ready
-    for the next round of the test; ``tensors(lifted)`` expands it into
-    symmetric tensors.
+    for the next round of the test; its ``source`` is the prolonged tableau.
     """
 
     def __init__(self, source: Tableau, coefficients: SubspaceBasis):
-        self.source = source
         self.lifted = Tableau(source.dim_V, source.dim, coefficients)
         self.lifted.system, self.lifted.level = source.system, source.level + 1
         self.lifted.source = source
@@ -192,37 +191,19 @@ class Prolongation:
         return self.lifted.dim
 
 
-def tensors(t: Tableau) -> list:
-    """The basis rows of ``t``, q levels below its root, as Gaussian-integer
-    rows over (V*)^(x)(q+1) (x) W of the root, slot-major.
+def multisets(n: int, d: int) -> list:
+    """The d-element multisets of covector indices 0..n-1, as sorted tuples in
+    column order: by descending least index, so those inside the trailing
+    indices k..n-1 come first, comb(n-k+d-1, d) of them."""
+    return sorted(combinations_with_replacement(range(n), d), key=lambda m: -m[0])
 
-    Each step substitutes the source's basis rows for the columns
-    i * dim(source) + p, giving coordinates i * N + c with N the source's
-    ambient dimension. The rows are not canonicalised: the expansion is
-    injective, so they stay independent."""
-    rows = t.basis.rows
-    while t.source is not None:
-        t = t.source
-        a, ambient, basis = t.dim, t.basis.ambient_dim, t.basis.rows
-        expanded = []
-        for c in rows:
-            x = {}
-            for col, (la, lb) in c.items():
-                i, p = divmod(col, a)
-                offset = i * ambient
-                for coord, (va, vb) in basis[p].items():
-                    key = offset + coord
-                    re, im = la * va - lb * vb, la * vb + lb * va
-                    cur = x.get(key)
-                    if cur is not None:
-                        re, im = re + cur[0], im + cur[1]
-                        if not (re or im):
-                            del x[key]
-                            continue
-                    x[key] = (re, im)
-            expanded.append(x)
-        rows = expanded
-    return rows
+
+def tensors(t: Tableau, q: int) -> list:
+    """Canonical basis rows of A^(q), A = ``t``, as symmetric tensors: the
+    kernel of the equations of A on S^{q+1}V* (x) W, with column c * dim W + w
+    the entry at the c-th of ``multisets(dim V, q + 1)`` and W-index w."""
+    rows, ncols = _symmetric_rows(t.equations, t.dim_V, t.dim_W, q)
+    return int_kernel_rows(rows, ncols).rows
 
 
 def prolong(t: Tableau) -> Prolongation:
@@ -234,10 +215,9 @@ def prolong(t: Tableau) -> Prolongation:
 def _symmetric_rows(equations, n: int, w: int, q: int):
     """(rows, ncols): the equations of A^(q) on S^{q+1}V* (x) W, one row per
     multiset m of q covector indices and equation e of A, with e[i, w] at
-    column (m + {i}, w). Multisets are sorted by descending least index, so
-    the ones inside the trailing indices k..n-1 come first, comb(n-k+q, q+1)
-    of them; each spans w columns."""
-    cols = sorted(combinations_with_replacement(range(n), q + 1), key=lambda m: -m[0])
+    column (m + {i}, w), columns ordered by ``multisets``; each multiset
+    spans w columns."""
+    cols = multisets(n, q + 1)
     pos = {m: c * w for c, m in enumerate(cols)}
     rows = []
     for m in combinations_with_replacement(range(n), q):

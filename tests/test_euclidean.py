@@ -17,7 +17,7 @@ from kdirac.euclidean import (
     quadratic_dim_formula,
     restriction_commutator_check,
 )
-from kdirac.linalg import GaussRational, RowFactor, int_pivot_cols, rank_rows
+from kdirac.linalg import GaussRational, RowFactor, rank_rows
 from kdirac.polynomials import (
     SpinorPoly,
     apply_op,
@@ -108,9 +108,7 @@ class TestLevelOne:
         assert report.involutive
 
     def test_double_prolongation_matches_cubic_space(self, sys32):
-        lifted = prolong(sys32.tableau()).lifted
-        rows = tensors(prolong(lifted).lifted)
-        assert len(int_pivot_cols(rows)) == sys32.monogenic_dim(3) == 32
+        assert len(tensors(sys32.tableau(), 2)) == sys32.monogenic_dim(3) == 32
         assert cubic_dim_formula(3, 2) == 32
 
     def test_level1_ordering_requires_k2(self):
@@ -119,11 +117,10 @@ class TestLevelOne:
 
 
 class TestComponents:
-    def test_n3_split(self, sys32):
-        assert quadratic_component_dims(sys32) == (18, 0)
-
-    def test_n4_split(self, sys42):
-        assert quadratic_component_dims(sys42) == (72, 8)
+    @pytest.mark.parametrize("n,expected", [(3, (18, 0)), (4, (72, 8)), (5, (120, 20)),
+                                            (6, (360, 72))], ids=["n3", "n4", "n5", "n6"])
+    def test_split(self, n, expected):
+        assert quadratic_component_dims(build_euclidean(n, 2)) == expected
 
 
 class TestInitialDimFormula:

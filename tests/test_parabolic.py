@@ -3,8 +3,8 @@ from itertools import product
 
 import pytest
 
-from kdirac import parabolic, polynomials
-from kdirac.euclidean import build_euclidean
+from kdirac import parabolic, polynomials, tableau
+from kdirac.euclidean import build_euclidean, quadratic_component_dims
 from kdirac.linalg import ExactMatrix, GaussRational, RowFactor, rank_rows
 from kdirac.parabolic import (
     ParabolicSystem,
@@ -189,6 +189,24 @@ class TestDecompositions:
 
     def test_first_split_n4(self, psys42):
         assert parabolic_prolongation_decomposition(psys42) == (80, 24, 4)
+
+    def test_first_split_n5(self):
+        assert parabolic_prolongation_decomposition(build_parabolic(5, 2)) == (140, 32, 4)
+
+    def test_second_split_n4(self, psys42):
+        assert parabolic_prolongation_decomposition(psys42, level=2) == (200, 80, 24, 4)
+
+    def test_splits_do_not_prolong(self, monkeypatch, psys32):
+        """Both splits read the tableau's equations; the lifted route is off."""
+        sys32 = build_euclidean(3, 2)
+
+        def refuse(t):
+            raise AssertionError("a split prolonged its tableau")
+
+        monkeypatch.setattr(tableau, "_prolongation_rows", refuse)
+        assert parabolic_prolongation_decomposition(psys32) == (18, 8, 2)
+        assert parabolic_prolongation_decomposition(psys32, level=2) == (32, 18, 8, 2)
+        assert quadratic_component_dims(sys32) == (18, 0)
 
 
 class TestWeightedSlices:

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
-from functools import reduce
-from itertools import permutations
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -48,19 +47,10 @@ def random_tableau(rng, dim_V, dim_W, count):
     return Tableau(dim_V, dim_W, SubspaceBasis.from_vectors(dim_V * dim_W, vecs))
 
 
-def assert_symmetric(rows, dim_V, dim_W, slots):
-    """Every entry of each tensor row reappears at each permutation of its
-    ``slots`` covector indices."""
-    for row in rows:
-        for coord, val in row.items():
-            idx, w = divmod(coord, dim_W)
-            digits = []
-            for _ in range(slots):
-                idx, d = divmod(idx, dim_V)
-                digits.append(d)
-            for perm in permutations(digits):
-                mirror = reduce(lambda acc, d: acc * dim_V + d, perm, 0) * dim_W + w
-                assert row.get(mirror) == val
+def column_multisets(n, d):
+    """The column order of symmetric tensors, restated: d-element multisets of
+    range(n) sorted by descending least index."""
+    return sorted(combinations_with_replacement(range(n), d), key=lambda m: -m[0])
 
 
 class TestProlong:
@@ -76,34 +66,25 @@ class TestProlong:
         expected = comb(dim_V + 1, 2) * dim_W
         assert p.dim == expected
         assert prolongation_dim(t) == expected
-        assert len(int_pivot_cols(tensors(p.lifted))) == expected
-
-    def test_raw_vectors_symmetric(self):
-        rng = random.Random(8)
-        t = random_tableau(rng, 3, 2, 3)
-        assert_symmetric(tensors(prolong(t).lifted), t.dim_V, t.dim_W, 2)
 
     def test_raw_slices_stay_in_tableau(self):
         rng = random.Random(15)
         t = random_tableau(rng, 3, 2, 4)
-        for vec in tensors(prolong(t).lifted):
+        pos = {m: c for c, m in enumerate(column_multisets(t.dim_V, 2))}
+        for vec in tensors(t, 1):
             for i in range(t.dim_V):
                 slice_vec = {}
-                for coord, (a, b) in vec.items():
-                    pair, w = divmod(coord, t.dim_W)
-                    fst, snd = divmod(pair, t.dim_V)
-                    if fst == i:
-                        slice_vec[snd * t.dim_W + w] = GR(a, b)
+                for j, w in product(range(t.dim_V), range(t.dim_W)):
+                    val = vec.get(pos[tuple(sorted((i, j)))] * t.dim_W + w)
+                    if val is not None:
+                        slice_vec[j * t.dim_W + w] = GR(*val)
                 assert t.basis.contains(slice_vec)
 
     @pytest.mark.parametrize("build, expected", [(build_euclidean, 32), (build_parabolic, 60)],
                              ids=["e(3,2)", "p(3,2)"])
     def test_second_prolongation_tensors(self, build, expected):
         t = build(3, 2).tableau()
-        first = prolong(t).lifted
-        rows = tensors(prolong(first).lifted)
-        assert len(int_pivot_cols(rows)) == prolongation_dim(first) == expected
-        assert_symmetric(rows, t.dim_V, t.dim_W, 3)
+        assert len(tensors(t, 2)) == prolong(prolong(t).lifted).dim == expected
 
 
 class TestFiltration:
@@ -416,6 +397,79 @@ class TestGreedyOracle:
     def test_matches_brute_force_rule_up_to_dim_V_5(self, t):
         ob = search_ordering(t, "greedy")
         assert ob.change.row_dicts() == brute_force_greedy(t)
+
+
+def chain_tensors(t):
+    """The basis rows of ``t``, q levels below its root, expanded down the
+    prolongation chain into rows over (V*)^(x)(q+1) (x) W of the root,
+    slot-major: each step substitutes the source's basis rows for the columns
+    i * dim(source) + p."""
+    rows = t.basis.rows
+    while t.source is not None:
+        t = t.source
+        a, ambient, basis = t.dim, t.basis.ambient_dim, t.basis.rows
+        expanded = []
+        for c in rows:
+            x = {}
+            for col, (la, lb) in c.items():
+                i, p = divmod(col, a)
+                offset = i * ambient
+                for coord, (va, vb) in basis[p].items():
+                    key = offset + coord
+                    re, im = la * va - lb * vb, la * vb + lb * va
+                    cur = x.get(key)
+                    if cur is not None:
+                        re, im = re + cur[0], im + cur[1]
+                        if not (re or im):
+                            del x[key]
+                            continue
+                    x[key] = (re, im)
+            expanded.append(x)
+        rows = expanded
+    return rows
+
+
+def written_out(rows, dim_V, dim_W, q):
+    """Symmetric tensor rows over multiset columns, written out over the
+    ordered covector slots, slot-major."""
+    pos = {m: c for c, m in enumerate(column_multisets(dim_V, q + 1))}
+    out = []
+    for row in rows:
+        x = {}
+        for idx, slots in enumerate(product(range(dim_V), repeat=q + 1)):
+            base = pos[tuple(sorted(slots))] * dim_W
+            for w in range(dim_W):
+                val = row.get(base + w)
+                if val is not None:
+                    x[idx * dim_W + w] = GR(*val)
+        out.append(x)
+    return out
+
+
+def assert_tensors_match_chain(t):
+    """tensors(t, q) spans the same subspace as the chain expansion of the
+    q-th prolongation of t, for q = 0, 1, 2."""
+    lifted = t
+    for q in range(3):
+        ambient = t.dim_V ** (q + 1) * t.dim_W
+        chain = [{c: GR(*v) for c, v in row.items()} for row in chain_tensors(lifted)]
+        ours = written_out(tensors(t, q), t.dim_V, t.dim_W, q)
+        assert (SubspaceBasis.from_vectors(ambient, ours)
+                == SubspaceBasis.from_vectors(ambient, chain))
+        lifted = prolong(lifted).lifted
+
+
+class TestTensorsOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(small_tableaux())
+    def test_small_tableaux(self, t):
+        assert_tensors_match_chain(t)
+
+    @pytest.mark.parametrize("build,n,k", [
+        (build_euclidean, 3, 2), (build_parabolic, 3, 2), (build_euclidean, 3, 3),
+    ], ids=["e(3,2)", "p(3,2)", "e(3,3)"])
+    def test_paper_tableaux(self, build, n, k):
+        assert_tensors_match_chain(build(n, k).tableau())
 
 
 class TestRootRoute:
