@@ -9,17 +9,21 @@ The core has one representation, Gaussian-integer pair rows: sparse dicts
 column -> ``(re, im)`` of ints. Scaling a row keeps its span, kernel and rank,
 and scaling all rows by one factor keeps every relation between them, so
 assemblers emit integer rows times one denominator and no fraction reaches
-the elimination. That is fraction-free (cross-multiplication updates plus
-content stripping) on independent column blocks, a large win on the very
-sparse symbol matrices built elsewhere in this package: ``int_pivot_cols``
-gives the column rank profile, ``int_kernel_rows`` the kernel, and a
-:class:`RowFactor` reduces one matrix once for many data. A
-:class:`SubspaceBasis` keeps its canonical reduced-row-echelon basis as
+the elimination.
+
+One kernel, ``_echelon``, eliminates: it takes the rows one at a time and
+reduces each, fraction free (cross-multiplication updates plus content
+stripping), against the rows kept so far, keyed by leading column.
+Of two rows leading at one column it keeps the one with the smaller lead
+|re| + |im|, then the fewer entries (a local Markowitz-style rule), which
+keeps fill and entry growth low on the sparse symbol matrices built elsewhere
+in this package and on the dense rows of random flags. ``int_pivot_cols``
+reads the column rank profile off its leads; ``_rref`` back-substitutes its
+rows into the canonical reduced echelon form, behind ``int_kernel_rows``
+(the kernel) and :class:`RowFactor` (one matrix reduced once for many data).
+A :class:`SubspaceBasis` keeps its canonical reduced-row-echelon basis as
 integer rows over one least denominator, so two equal subspaces always
 produce bit-identical bases.
-
-Splitting into column blocks changes no arithmetic (no update combines rows of
-two blocks); it bounds peak memory, keeping one block's working copies at a time.
 
 :class:`GaussRational` is the API edge: :class:`ExactMatrix`,
 ``SubspaceBasis.vectors`` and the thin conversions ``to_int_rows``,
@@ -285,15 +289,21 @@ def _strip(row: dict) -> None:
 
 
 def _axpy(target: dict, source: dict, u, v) -> None:
-    """target <- u*target - v*source over Gaussian integers, content-stripped."""
+    """target <- u*target - v*source over Gaussian integers, content-stripped;
+    target - (v/u)*source when u divides v."""
     ua, ub = u
+    va, vb = v
+    norm = ua * ua + ub * ub
+    qa, ra = divmod(va * ua + vb * ub, norm)
+    qb, rb = divmod(vb * ua - va * ub, norm)
+    if not (ra or rb):
+        ua, ub, va, vb = 1, 0, qa, qb
     if ub:
         for c, (a, b) in target.items():
             target[c] = (ua * a - ub * b, ua * b + ub * a)
     elif ua != 1:
         for c, (a, b) in target.items():
             target[c] = (ua * a, ua * b)
-    va, vb = v
     if vb:
         for c, (sa, sb) in source.items():
             wa = va * sa - vb * sb
@@ -325,82 +335,37 @@ def _axpy(target: dict, source: dict, u, v) -> None:
     _strip(target)
 
 
-def _eliminate(rows: dict, reduced: bool, pivot_limit=None):
-    """Gauss-Jordan (reduced=True) or forward Gauss (reduced=False) on the
-    given rows, processing columns in ascending order.
+def _echelon(int_rows: Sequence[dict], limit=None):
+    """Forward elimination of Gaussian-integer rows, one row at a time.
 
-    ``rows`` maps row id -> Gaussian-integer row dict and is mutated in place.
-    Returns the pivot list [(col, row_id), ...] with columns ascending.
+    Returns (pivots, rest): ``pivots`` maps each lead column before ``limit``
+    to the one kept row leading there, ``rest`` lists the nonzero remainders
+    leading at or past it. Each row is reduced against the kept rows until its
+    lead is new; when two rows lead at one column the one with the smaller
+    lead |re| + |im|, then the fewer entries, is kept and the other is reduced
+    by it, which keeps entries small on dense rows. A row is copied before its
+    first update, so the input rows are never changed; a row kept or left over
+    unchanged is the caller's own object.
     """
-    occ = {}
-    for rid, row in rows.items():
-        for c in row:
-            occ.setdefault(c, set()).add(rid)
-    pivots = []
-    in_pivot = set()
-    for col in sorted(occ):
-        if pivot_limit is not None and col >= pivot_limit:
-            continue
-        holders = [r for r in occ.pop(col) if col in rows[r]]
-        cand = [r for r in holders if r not in in_pivot]
-        if not cand:
-            continue
-        piv = min(cand, key=lambda r: (len(rows[r]), r))  # sparsest row first
-        src = rows[piv]
-        u = src[col]
-        targets = holders if reduced else cand
-        for r in targets:
-            if r == piv:
-                continue
-            _axpy(rows[r], src, u, rows[r][col])
-            bucket = occ
-            for c in rows[r]:
-                if c > col:
-                    s = bucket.get(c)
-                    if s is None:
-                        bucket[c] = {r}
-                    else:
-                        s.add(r)
-        pivots.append((col, piv))
-        in_pivot.add(piv)
-    return pivots
-
-
-def _components(rows: Sequence[Mapping]):
-    """Group row indices by connected column support (union-find). Eliminating
-    group by group does the updates of one whole-matrix pass in less memory."""
-    parent = {}
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for row in rows:
-        it = iter(row)
-        first = next(it, None)
-        if first is None:
-            continue
-        if first not in parent:
-            parent[first] = first
-        a = find(first)
-        for c in it:
-            if c not in parent:
-                parent[c] = c
-            b = find(c)
-            if a != b:
-                parent[b] = a
-    groups = {}
-    for i, row in enumerate(rows):
-        if not row:
-            continue
-        root = find(next(iter(row)))
-        groups.setdefault(root, []).append(i)
-    # deterministic order: by smallest column in the component
-    return sorted(groups.values(), key=lambda ids: min(min(rows[i]) for i in ids))
+    pivots, rest = {}, []
+    for row in int_rows:
+        mine = False
+        while row:
+            lead = min(row)
+            if limit is not None and lead >= limit:
+                rest.append(row)
+                break
+            held = pivots.get(lead)
+            if held is None:
+                pivots[lead] = row
+                break
+            (ra, rb), (ha, hb) = row[lead], held[lead]
+            if (abs(ra) + abs(rb), len(row)) < (abs(ha) + abs(hb), len(held)):
+                pivots[lead], row, held, mine = row, held, row, False
+            if not mine:
+                row, mine = dict(row), True
+            _axpy(row, held, held[lead], row[lead])
+    return pivots, rest
 
 
 def _normalise(row: dict, col) -> tuple:
@@ -424,19 +389,22 @@ def _rref(int_rows: Sequence[dict], limit=None):
     Returns (rows, den, pivot_cols, rest): the reduced rows times their least
     common denominator den, aligned with the pivot columns ascending, and the
     rows left without a pivot. Pivots lie before column ``limit`` if given, and
-    ``rest`` past it; without a limit ``rest`` is empty. Independent column
-    blocks are reduced separately; their reduced rows have disjoint support, so
-    merging sorted by pivot keeps the form canonical.
+    ``rest`` past it; without a limit ``rest`` is empty. The forward pass of
+    :func:`_echelon` is back-substituted from the last pivot down: each row
+    clears the later pivot columns against rows already reduced and
+    normalised, which hold no pivot column but their own.
     """
-    merged, rest = [], []
-    for group in _components(int_rows):
-        rows = {i: dict(int_rows[i]) for i in group}
-        pivots = _eliminate(rows, reduced=True, pivot_limit=limit)
-        merged.extend((col, *_normalise(rows.pop(rid), col)) for col, rid in pivots)
-        rest.extend(row for row in rows.values() if row)
-    merged.sort(key=lambda item: item[0])
-    den = lcm(*(d for _, _, d in merged))
-    return [_scaled(row, den // d) for _, row, d in merged], den, [c for c, _, _ in merged], rest
+    pivots, rest = _echelon(int_rows, limit)
+    cols = sorted(pivots)
+    done = {}
+    for col in reversed(cols):
+        row = dict(pivots[col])  # may be the caller's row
+        for c in [c for c in row if c in done]:
+            out, d = done[c]
+            _axpy(row, out, (d, 0), row[c])
+        done[col] = _normalise(row, col)
+    den = lcm(*(d for _, d in done.values()))
+    return [_scaled(done[c][0], den // done[c][1]) for c in cols], den, cols, rest
 
 
 def rref_rows(vectors: Sequence[Mapping]):
@@ -453,16 +421,11 @@ def int_pivot_cols(int_rows: Sequence[dict]) -> list:
     """Column rank profile of Gaussian-integer pair rows, ascending.
 
     Column c is listed when it is independent of the columns before it, which
-    makes these the pivot columns of the reduced row-echelon form; forward
-    elimination of each independent column block finds them without the back
+    makes these the pivot columns of the reduced row-echelon form: the lead
+    columns of the forward pass of :func:`_echelon`, found without the back
     substitution and normalisation that form needs.
     """
-    cols = []
-    for group in _components(int_rows):
-        rows = {i: dict(int_rows[i]) for i in group}
-        cols.extend(c for c, _ in _eliminate(rows, reduced=False))
-    cols.sort()
-    return cols
+    return sorted(_echelon(int_rows)[0])
 
 
 def _projected_ranks(rows: Sequence[dict], projections) -> tuple:
@@ -479,12 +442,12 @@ def rank_rows(vectors: Sequence[Mapping]) -> int:
 def int_kernel_rows(int_rows: Sequence[dict], ncols: int) -> "SubspaceBasis":
     """Canonical basis of the joint kernel of Gaussian-integer pair rows.
 
-    The reduced echelon form of the rows, columns taken in descending order,
-    has each pivot p at its row's largest column. For a free column f, the
-    vector with 1 at f and -row_p[f] / row_p[p] at each pivot p has its leading
-    1 at f and zeros at the other free columns, so these vectors already are
-    the canonical basis, over the form's denominator; each pivot row fills in
-    its entries of them.
+    One ``_rref`` of the rows, columns taken in descending order, puts each
+    pivot p at its row's largest column. For a free column f, the vector with
+    1 at f and -row_p[f] / row_p[p] at each pivot p has its leading 1 at f and
+    zeros at the other free columns, so these vectors already are the
+    canonical basis, over the form's denominator; each pivot row fills in its
+    entries of them.
     """
     top = ncols - 1
     rows, den, flipped, _ = _rref([{top - c: v for c, v in row.items()} for row in int_rows])

@@ -344,6 +344,69 @@ class TestRowFactor:
         assert factor.solve({1: ONE, 2: ONE}) == {0: ONE}
 
 
+def gauss_ints(bound):
+    return st.tuples(st.integers(-bound, bound), st.integers(-bound, bound))
+
+
+@st.composite
+def dense_rows(draw, ncols=8):
+    """Up to 8 Gaussian-integer rows of ``ncols`` columns with at least half
+    their entries nonzero and parts up to 30, some of them repeats or small
+    Gaussian multiples of others: rows that meet at one lead column force
+    pivot choices and long back substitutions, as random flags do."""
+    nonzero = gauss_ints(30).filter(any)
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        zeros = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols // 2))
+        rows.append({c: draw(nonzero) for c in range(ncols) if c not in zeros})
+    for _ in range(draw(st.integers(0, 8 - len(rows)))):
+        row, (u, v) = draw(st.sampled_from(rows)), draw(gauss_ints(2).filter(any))
+        rows.append({c: (u * a - v * b, u * b + v * a) for c, (a, b) in row.items()})
+    return draw(st.permutations(rows))
+
+
+def qqi_matrix(int_rows, ncols):
+    dense = [[QQ_I(*row.get(c, (0, 0))) for c in range(ncols)] for row in int_rows]
+    return DomainMatrix(dense, (len(int_rows), ncols), QQ_I)
+
+
+class TestDenseOracle:
+    """Dense rows against sympy's reduced echelon form over QQ(i)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dense_rows())
+    def test_pivot_columns(self, rows):
+        assert int_pivot_cols(rows) == list(qqi_matrix(rows, 8).rref()[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(dense_rows())
+    def test_kernel(self, rows):
+        basis = int_kernel_rows(rows, 8)
+        reduced, pivots = qqi_matrix(rows, 8).nullspace().rref()  # rank <= 6 < 8
+        assert basis.pivots == list(pivots)
+        assert [[v.get(c, GR(0)) for c in range(8)] for v in basis.vectors] == [
+            [from_qqi(z) for z in row] for row in reduced.to_list()[: len(pivots)]
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(dense_rows(), st.integers(1, 7), st.data())
+    def test_row_factor(self, rows, limit, data):
+        x = data.draw(st.dictionaries(st.integers(limit, 7), small_scalars()).map(
+            lambda x: {c: v for c, v in x.items() if v}))
+        factor = RowFactor(rows, limit)
+        m = qqi_matrix(rows, 8)
+        system, tail = m[:, :limit], m[:, limit:]
+        column = [[to_qqi(x.get(c, GR(0)))] for c in range(limit, 8)]
+        rhs = tail * DomainMatrix(column, (8 - limit, 1), QQ_I)
+        reduced, pivots = system.hstack(rhs).rref()
+        assert factor.rank == system.rank()
+        if limit in pivots:
+            assert factor.solve(x) is None
+        else:
+            solution = {p: from_qqi(reduced[i, limit].element) for i, p in enumerate(pivots)}
+            assert factor.solve(x) == {p: v for p, v in solution.items() if v}
+
+
 def test_kernel_rows_support_validation():
     with pytest.raises(ValueError):
         kernel_rows([{5: ONE}], 3)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
+from kdirac import linalg
 from kdirac.euclidean import build_euclidean, level1_ordering
 from kdirac.linalg import (
     GaussRational,
@@ -197,6 +198,37 @@ class TestRandomFlagCertificates:
         rhs = sum(j * c for j, c in enumerate(characters, start=1))
         assert report.rhs_cartan_test == report.dim_prolongation == rhs
         assert report.involutive
+
+
+class TestEntryGrowth:
+    """The elimination keeps its intermediates small on dense random-flag
+    rows. The largest entry any row update leaves, in bits, stays far below
+    what first-come pivots build (tens of thousands of bits on e(3,2) level 2)."""
+
+    @pytest.fixture
+    def peak_bits(self, monkeypatch):
+        peak, axpy = [0], linalg._axpy
+
+        def recording(target, source, u, v):
+            axpy(target, source, u, v)
+            for a, b in target.values():
+                peak[0] = max(peak[0], a.bit_length(), b.bit_length())
+
+        monkeypatch.setattr(linalg, "_axpy", recording)
+        return peak
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_e32_level2(self, e32_levels, peak_bits, seed):
+        t = e32_levels[2]
+        peak_bits[0] = 0
+        assert cartan_test(t, search_ordering(t, "random", seed)).involutive
+        assert 0 < peak_bits[0] < 1000
+
+    def test_e43_level1(self, peak_bits):
+        lifted = prolong(build_euclidean(4, 3).tableau()).lifted
+        peak_bits[0] = 0
+        assert cartan_test(lifted, search_ordering(lifted, "random", 1)).involutive
+        assert 0 < peak_bits[0] < 6000
 
 
 class TestCartanTest:
