@@ -232,7 +232,9 @@ def extend_from_initial_data(
     restricting a solution to the leading variables recovers g1 and its
     t_{2n-2}-linear part recovers g2. Solvability and uniqueness are
     guaranteed by the theory, so their failure raises InvariantViolation.
-    The constraint matrix is factored once per system and degree (kept on it).
+    The unknown monomials and the factored constraint matrix are built once
+    per system and degree (kept on it); one datum then costs its conversion
+    to chart coordinates, one ``RowFactor.solve`` and the monogenic check.
     """
     if sys.k != 2:
         raise ValueError("initial-data extension applies to k = 2 only")
@@ -261,11 +263,14 @@ def extend_from_initial_data(
     base = g1 + scalar_multiply(lift, g2)
     ops = chart_ops(sys)
 
-    def is_data_monomial(e):
-        tdeg = sum(e[t] for t in trailing)
-        return tdeg == 0 or (tdeg == 1 and e[2 * n - 3] == 1)
+    unknown = sys._unknowns.get(r)
+    if unknown is None:
+        def is_data_monomial(e):
+            tdeg = sum(e[t] for t in trailing)
+            return tdeg == 0 or (tdeg == 1 and e[2 * n - 3] == 1)
 
-    unknown = [e for e in monomial_basis(vars, r) if not is_data_monomial(e)]
+        unknown = tuple(e for e in monomial_basis(vars, r) if not is_data_monomial(e))
+        sys._unknowns[r] = unknown
     g, rank = solve_correction(ops, base, unknown, sys._factors)
     where, want = f"e({n},2) degree {r}", len(unknown) * s
     if g is None or rank != want:

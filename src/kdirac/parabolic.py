@@ -337,18 +337,21 @@ def lift_check(sys: ParabolicSystem, psi: SpinorPoly, g) -> SpinorPoly:
 
     ``g`` is a scalar polynomial in the y-variables (mapping exponent tuples
     over the extended variable set to coefficients). Existence is guaranteed;
-    failure of the solve raises InvariantViolation. The constraint matrix is
-    factored once per system, seed degree and y-degree of g (kept on the
-    system). The returned spinor is re-checked against every slot operator.
+    failure of the solve raises InvariantViolation. The unknown monomials
+    and the factored constraint matrix are built once per system, seed degree
+    and y-degree of g (kept on the system); one datum then costs the input
+    checks, the product g psi, one ``RowFactor.solve`` and the re-check of
+    the returned spinor against every slot operator.
     """
     r, l = _validate_lift_inputs(sys, psi, g)
     base = scalar_multiply(g, psi)
     if l == 0:
         return base
-    nk = sys.n * sys.k
-    unknown = [
-        e for e in monomial_basis(sys.vars, r + 2 * l) if sum(e[nk:]) < l
-    ]
+    unknown = sys._unknowns.get((r, l))
+    if unknown is None:
+        nk = sys.n * sys.k
+        unknown = tuple(e for e in monomial_basis(sys.vars, r + 2 * l) if sum(e[nk:]) < l)
+        sys._unknowns[r, l] = unknown
     h, rank = solve_correction(sys.ops, base, unknown, sys._factors)
     where = f"p({sys.n},{sys.k}) seed degree {r}, y-degree {l}"
     if h is None:

@@ -21,8 +21,8 @@ accumulates over it in integers, and the coefficient matrices it assembles
 are Gaussian-integer rows for the elimination core.
 """
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 from .linalg import (
     GaussRational,
@@ -358,6 +358,9 @@ def solution_dim(
     return ncols - len(int_pivot_cols(rows))
 
 
+_APART = "base and unknown monomials must be apart and of one degree"
+
+
 def solve_correction(
     ops: Sequence[DiffOp], base: SpinorPoly, unknown: Sequence, factors: dict
 ):
@@ -365,32 +368,44 @@ def solve_correction(
 
     Finds ``h`` supported on the ``unknown`` monomials (exponent tuples of the
     weighted degree of ``base``) with op(base + h) = 0 for every op; ``base``
-    may use only the other monomials of that degree. The coefficient matrix
-    over all monomials of the degree, unknown ones first, is reduced once into
-    a :class:`RowFactor` and ``base`` is one datum solved against it.
+    may use only the other monomials of that degree. The degree is read off
+    ``base``, or off the first unknown when ``base`` is zero.
+
     ``factors`` is the caller's memo for this list of ops (a system keeps
-    one): it holds the factor per degree and unknown monomials, so solving
-    many data of one degree builds the factor once.
+    one), keyed by (degree, tuple(unknown)). Its entry is built once: the
+    unknown monomials are checked to be of the degree, the coefficient matrix
+    over all monomials of the degree, unknown ones first, is reduced into a
+    :class:`RowFactor`, and ``col_of`` indexes those monomials. A hit means
+    the same unknown list was already checked, so one datum costs mapping
+    ``base`` through ``col_of`` (a monomial missing from it, or indexed among
+    the unknowns, raises ValueError) and one ``RowFactor.solve``.
 
     Returns (h, rank): h is a particular solution (free coordinates zero) or
     None when none exists, and rank is that of the unknown block, so the
     solution is unique exactly when rank == len(unknown) * spinor_dim.
     """
     vars, s = base.vars, base.spinor_dim
-    degrees = {vars.weighted_degree(e) for e in unknown} | base.weighted_degrees()
-    skip = set(unknown)
-    if len(degrees) != 1 or not skip.isdisjoint(e for e, _ in base.coeffs):
-        raise ValueError("base and unknown monomials must be apart and of one degree")
-    degree = degrees.pop()
+    if not base.coeffs and not unknown:
+        raise ValueError(_APART)
+    degree = vars.weighted_degree(next(iter(base.coeffs))[0] if base.coeffs else unknown[0])
     key = (degree, tuple(unknown))
     if key not in factors:
+        if any(vars.weighted_degree(e) != degree for e in unknown):
+            raise ValueError(_APART)
+        skip = set(unknown)
         monos = list(unknown)
         monos += [e for e in monomial_basis(vars, degree) if e not in skip]
         rows, _ = _constraint_rows(ops, vars, s, degree, monos)
         col_of = {e: idx for idx, e in enumerate(monos)}
         factors[key] = (monos, col_of, RowFactor(rows, len(unknown) * s))
     monos, col_of, factor = factors[key]
-    h = factor.solve({col_of[e] * s + mu: -v for (e, mu), v in base.coeffs.items()})
+    first, x = len(unknown), {}
+    for (e, mu), v in base.coeffs.items():
+        col = col_of.get(e, -1)
+        if col < first:
+            raise ValueError(_APART)
+        x[col * s + mu] = -v
+    h = factor.solve(x)
     return (None if h is None else _as_poly(vars, s, monos, h)), factor.rank
 
 
@@ -423,7 +438,8 @@ class SlotSystem:
         self.vars = vars
         self._tableau = None
         self._spaces = {}
-        self._factors = {}  # the solve_correction memo of the extension or lift
+        self._unknowns = {}  # the extension's or lift's unknown monomials per degree
+        self._factors = {}  # the solve_correction memo of their factors
 
     @property
     def n(self):

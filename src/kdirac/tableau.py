@@ -10,8 +10,8 @@ are indexed by (unordered covector pair, W-coordinate).
 ``prolong`` builds that kernel. ``prolongation_dim`` takes a smaller rank: for
 the tableau A^(q) q levels below its root A, A^(q+1) is the kernel of the
 equations of A (its annihilator) on every (q+1)-fold contraction of
-S^{q+2}V* (x) W (Seiler, *Involution*, ch. 6). The equations are computed
-once per root tableau.
+S^{q+2}V* (x) W (Seiler, *Involution*, ch. 6). The equations, and each
+dim A^(q+1), are computed once per root tableau.
 
 ``tensors`` takes the canonical basis of A^(q) as the kernel of the same
 equations, one column per (multiset of q+1 covector indices, W-index), so a
@@ -82,6 +82,7 @@ class Tableau:
         self.dim_V = dim_V
         self.dim_W = dim_W
         self.basis = basis
+        self._prolongation_dims = {}  # on a root: dim A^(q+1) by q, see prolongation_dim
 
     @property
     def root(self) -> "Tableau":
@@ -233,11 +234,14 @@ def _symmetric_rows(equations, n: int, w: int, q: int):
 
 def prolongation_dim(t: Tableau) -> int:
     """dim A^(q+1) for t = A^(q), q levels below its root A: the corank of the
-    equations of A on S^{q+2}V* (x) W."""
+    equations of A on S^{q+2}V* (x) W. It depends on no flag, so the root
+    keeps it by q and every tableau of its chain reads the same memo."""
     root = t.root
-    rows, ncols = _symmetric_rows(root.equations, root.dim_V, root.dim_W,
-                                  t.level - root.level + 1)
-    return ncols - len(int_pivot_cols(rows))
+    q = t.level - root.level
+    if q not in root._prolongation_dims:
+        rows, ncols = _symmetric_rows(root.equations, root.dim_V, root.dim_W, q + 1)
+        root._prolongation_dims[q] = ncols - len(int_pivot_cols(rows))
+    return root._prolongation_dims[q]
 
 
 def h02_dim(t: Tableau) -> int:

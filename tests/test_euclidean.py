@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from kdirac import polynomials
+from kdirac import euclidean, polynomials
 from kdirac.euclidean import (
     build_euclidean,
     chart_ops,
@@ -294,6 +294,21 @@ class TestFactorMemo:
         assert ranks == [{2: 24, 3: 80}, {2: 64, 3: 280}]
         factors = [f for sys in (e32, e42) for _, _, f in sys._factors.values()]
         assert len({id(f) for f in factors}) == 4
+
+    def test_second_extension_of_a_degree_enumerates_and_factors_nothing(
+        self, count_calls
+    ):
+        sys = build_euclidean(3, 2)
+        data = chart_data(sys, 3)
+        extend_from_initial_data(sys, *data[0])
+        calls = count_calls([(euclidean, "monomial_basis"),
+                                          (polynomials, "monomial_basis"),
+                                          (polynomials, "RowFactor")])
+        warm = [extend_from_initial_data(sys, g1, g2) for g1, g2 in data[1:]]
+        assert calls == {"monomial_basis": 0, "RowFactor": 0}
+        fresh = [extend_from_initial_data(build_euclidean(3, 2), g1, g2)
+                 for g1, g2 in (data[1], data[-1])]
+        assert fresh == [warm[0], warm[-1]]
 
     def test_short_rank_names_the_disagreeing_numbers(self, monkeypatch):
         class ShortRank(RowFactor):

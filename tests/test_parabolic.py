@@ -302,6 +302,22 @@ class TestLiftBasis:
         assert sorted(k[0] for k in psys._factors) == [5, 5]
         assert build_parabolic(3, 2)._factors == {}
 
+    def test_second_lift_of_a_degree_pair_enumerates_and_factors_nothing(
+        self, count_calls
+    ):
+        psys = build_parabolic(3, 2)
+        g = y_monomial(psys, 1, 2, 2)
+        seeds = psys.euclidean_monogenic_embedded(1)
+        lift_check(psys, seeds[0], g)
+        calls = count_calls([(parabolic, "monomial_basis"),
+                             (polynomials, "monomial_basis"),
+                             (polynomials, "RowFactor")])
+        warm = [lift_check(psys, psi, g) for psi in seeds[1:]]
+        assert calls == {"monomial_basis": 0, "RowFactor": 0}
+        fresh = build_parabolic(3, 2)
+        assert [lift_check(fresh, psi, g) for psi in (seeds[1], seeds[-1])] == [
+            warm[0], warm[-1]]
+
     def test_failed_lift_names_the_system_and_degrees(self, monkeypatch):
         class Inconsistent(RowFactor):
             __slots__ = ()

@@ -243,6 +243,29 @@ class TestSolveCorrection:
         with pytest.raises(ValueError):
             solve_correction([self.op(-1)], base, [(1, 1), (0, 2)], {})
 
+    def test_warm_memo_still_rejects_a_base_on_an_unknown_or_of_another_degree(self):
+        op, unknown, factors = self.op(-1), [(1, 1), (0, 2)], {}
+        good = SpinorPoly.monomial(self.vs, 1, (2, 0), 0)
+        solve_correction([op], good, unknown, factors)
+        assert len(factors) == 1
+        for exps in ((1, 1), (3, 0)):
+            base = SpinorPoly.monomial(self.vs, 1, exps, 0)
+            with pytest.raises(ValueError, match="apart and of one degree"):
+                solve_correction([op], base, unknown, factors)
+        mixed = good + SpinorPoly.monomial(self.vs, 1, (0, 1), 0)
+        with pytest.raises(ValueError, match="apart and of one degree"):
+            solve_correction([op], mixed, unknown, factors)
+        assert len(factors) == 1
+
+    def test_zero_base_takes_the_degree_of_the_unknowns(self):
+        zero = SpinorPoly.zero(self.vs, 1)
+        h, rank = solve_correction([self.op(-1)], zero, [(1, 1), (0, 2)], {})
+        assert h.is_zero() and rank == 2
+        with pytest.raises(ValueError):
+            solve_correction([self.op(-1)], zero, [(1, 1), (0, 1)], {})
+        with pytest.raises(ValueError):
+            solve_correction([self.op(-1)], zero, [], {})
+
     def test_memo_reuses_one_factor_per_degree_and_unknowns(self):
         op, factors = self.op(-1), {}
         for unknown, exps in (([(1, 1), (0, 2)], (2, 0)), ([(0, 2)], (2, 0)),

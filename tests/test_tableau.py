@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from kdirac import linalg
+from kdirac import linalg, tableau
 from kdirac.euclidean import build_euclidean, level1_ordering
 from kdirac.linalg import (
     GaussRational,
@@ -251,6 +251,23 @@ class TestCartanTest:
                 report = cartan_test(t, ob)
                 assert report.dim_prolongation <= report.rhs_cartan_test
                 assert sum(report.characters) == t.dim
+
+    def test_random_flags_rank_the_prolonged_equations_once(self, monkeypatch):
+        system = build_euclidean(3, 2)
+        root = system.tableau()
+        lifted = prolong(root).lifted
+        degrees, symmetric_rows = [], tableau._symmetric_rows
+        monkeypatch.setattr(tableau, "_symmetric_rows", lambda equations, n, w, q: (
+            degrees.append(q) or symmetric_rows(equations, n, w, q)))
+        reports = [cartan_test(lifted, search_ordering(lifted, "random", seed))
+                   for seed in range(1, 9)]
+        again = cartan_test(prolong(root).lifted, level1_ordering(system))
+        monkeypatch.undo()
+        # nine filtrations on S^2 V* (x) W, one rank of the equations on S^3
+        assert sorted(degrees) == [1] * 9 + [2]
+        fresh = prolong(build_euclidean(3, 2).tableau()).lifted
+        assert {r.dim_prolongation for r in reports} == {again.dim_prolongation}
+        assert again.dim_prolongation == prolongation_dim(fresh) == 32
 
     def test_prolongation_dim_independent_of_ordering(self):
         rng = random.Random(41)
