@@ -93,11 +93,11 @@ def level1_ordering(sys: EuclideanSystem) -> OrderedBasis:
     n = sys.n
     col = lambda r, i: 2 * (r - 1) + i - 1  # noqa: E731 -- covector dual to x_{r i}
     units = [(r, i) for r in range(1, n - 2) for i in (1, 2)] + [(n - 2, 1), (n - 1, 2)]
-    rows = [{col(r, i): 1} for r, i in units]
-    rows += [{col(n, 1): 1, col(n, 2): 1}, {col(n, 1): 1, col(n, 2): -1}]
-    rows += [{col(n - 2, 2): 1}, {col(n - 1, 1): 1}]
-    dense = [[row.get(c, 0) for c in range(2 * n)] for row in rows]
-    return OrderedBasis.from_rows(dense, label="paper")
+    one, minus = (1, 0), (-1, 0)
+    rows = [{col(r, i): one} for r, i in units]
+    rows += [{col(n, 1): one, col(n, 2): one}, {col(n, 1): one, col(n, 2): minus}]
+    rows += [{col(n - 2, 2): one}, {col(n - 1, 1): one}]
+    return OrderedBasis(rows, label="paper")
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,9 @@ produce bit-identical bases.
 :class:`GaussRational` is the API edge: :class:`ExactMatrix`,
 ``SubspaceBasis.vectors`` and the thin conversions ``to_int_rows``,
 ``rref_rows``, ``rank_rows``, ``kernel_rows`` and ``solve_rows``. The last
-four stay public because ``bench/tracing.py`` wraps them by name.
+four stay public because ``bench/tracing.py`` wraps them by name. Flags of
+V* do not pass through :class:`ExactMatrix`: ``tableau.OrderedBasis``
+keeps its covectors as Gaussian-integer pair rows.
 """
 
 from fractions import Fraction
@@ -114,9 +116,6 @@ class GaussRational:
         if other is None:
             return NotImplemented
         return other / self
-
-    def conjugate(self):
-        return GaussRational(self.re, -self.im)
 
     def __repr__(self):
         if not self.im:

@@ -216,13 +216,8 @@ def parabolic_level1_ordering(sys: ParabolicSystem) -> OrderedBasis:
     """k = 2: the skew covector first, then the matrix-space chart ordering."""
     if sys.k != 2:
         raise ValueError("the built-in level-1 ordering exists only for k = 2")
-    euclid_rows = level1_ordering(sys.euclidean()).change
-    dim = sys.dim_V
-    rows = [[0] * dim for _ in range(dim)]
-    rows[0][sys.y_index(1, 2)] = GaussRational(1)
-    for (r, c), v in euclid_rows.entries.items():
-        rows[r + 1][c] = v
-    return OrderedBasis.from_rows(rows, "paper")
+    return OrderedBasis([{sys.y_index(1, 2): (1, 0)}, *level1_ordering(sys.euclidean()).rows],
+                        "paper")
 
 
 def parabolic_cartan_suite(sys: ParabolicSystem):

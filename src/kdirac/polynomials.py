@@ -353,9 +353,12 @@ def solution_space(
 def solution_dim(
     ops: Sequence[DiffOp], vars: VariableSet, spinor_dim: int, weighted_degree: int
 ) -> int:
-    """Dimension of the solution slice without materialising a basis."""
+    """Dimension of the solution slice without materialising a basis: the
+    corank of the constraint rows, with the columns taken in descending order
+    as ``int_kernel_rows`` takes them, which needs fewer row updates here."""
     rows, ncols = _constraint_rows(ops, vars, spinor_dim, weighted_degree)
-    return ncols - len(int_pivot_cols(rows))
+    top = ncols - 1
+    return ncols - len(int_pivot_cols([{top - c: v for c, v in row.items()} for row in rows]))
 
 
 _APART = "base and unknown monomials must be apart and of one degree"

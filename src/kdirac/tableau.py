@@ -21,13 +21,16 @@ The Cartan filtration A_k intersects A with the span of the trailing vectors
 u^{k+1..n} of an ordered basis of V*. For symmetric tensors the filtration of
 a prolongation is the prolongation of the filtration, (A^(q))_k = (A_k)^(q),
 so every filtration dimension is read off the root's equations. Rewritten in
-the u coordinates by the flag matrix itself, they cut out A^(q) in
-S^{q+1}V* (x) W with the columns sorted by descending least covector index.
+the u coordinates by the flag's own Gaussian-integer rows, they cut out A^(q)
+in S^{q+1}V* (x) W with the columns sorted by descending least covector index.
 The multisets inside the trailing covectors are then a column prefix, and
 every equation outside it is zero on it, so dim A^(q)_k is the prefix width
 minus the pivot columns (the column rank profile, from one forward
 elimination) that fall in the prefix. Characters are the filtration
 increments and the test compares dim A^(1) with s_1 + 2 s_2 + ... + n s_n.
+An :class:`OrderedBasis` is checked invertible once, when built. Scaling one
+u^i keeps every span u^{k+1..n}, hence every A_k, so each flag row is scaled
+to integers by its own denominator.
 
 The greedy ordering search reduces each candidate covector's W-block once and
 then re-reduces only rows whose lead the state has since reached. A gain only
@@ -51,10 +54,9 @@ from math import comb
 
 from .linalg import (
     ONE,
-    ExactMatrix,
-    GaussRational,
     InvariantViolation,
     SubspaceBasis,
+    _as_sparse_vec,
     _axpy,
     _ints,
     int_kernel_rows,
@@ -115,28 +117,34 @@ class Tableau:
 
 
 class OrderedBasis:
-    """Ordered basis u^1..u^n of V*, rows of ``change`` in old coordinates."""
+    """Ordered basis u^1..u^n of V*, ``rows[i]`` = u^i in old coordinates as
+    a Gaussian-integer pair row; the constructor's one column rank profile
+    makes every OrderedBasis invertible. Scaling one u^i keeps every span
+    u^{k+1..n}, so :meth:`from_rows` scales each row by its own denominator."""
 
-    def __init__(self, change: ExactMatrix, label: str = "given"):
-        if change.rows != change.cols:
+    def __init__(self, rows: list, label: str = "given"):
+        n = len(rows)
+        if any(not 0 <= c < n for row in rows for c in row):
             raise ValueError("change of basis must be square")
-        self.change = change
+        if len(int_pivot_cols(rows)) != n:
+            raise ValueError(f"ordering '{label}' is singular")
+        self.rows = rows
         self.label = label
 
     @classmethod
     def identity(cls, dim_V: int, label: str = "given") -> "OrderedBasis":
-        return cls(ExactMatrix.identity(dim_V), label)
+        return cls([{i: (1, 0)} for i in range(dim_V)], label)
 
     @classmethod
     def from_rows(cls, rows, label: str) -> "OrderedBasis":
-        return cls(ExactMatrix.from_rows(rows), label)
+        """Dense rows of int, Fraction, str or GaussRational entries."""
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("change of basis must be square")
+        return cls([_ints([_as_sparse_vec(row)])[0][0] for row in rows], label)
 
     @classmethod
     def permutation(cls, order, label: str) -> "OrderedBasis":
-        n = len(order)
-        if sorted(order) != list(range(n)):
-            raise ValueError("not a permutation")
-        return cls(ExactMatrix(n, n, {(i, j): ONE for i, j in enumerate(order)}), label)
+        return cls([{j: (1, 0)} for j in order], label)
 
 
 @dataclass(frozen=True)
@@ -264,20 +272,17 @@ def filtration_dims(t: Tableau, ob: OrderedBasis) -> list:
 
     For t = A^(q), q levels below its root A, each equation e of A is
     rewritten in the ordered-basis coordinates as e'[i, w] = sum_j C[i, j]
-    e[j, w], with C = ``change`` and no inverse formed. On S^{q+1}V* (x) W
+    e[j, w], with C the flag's rows and no inverse formed. On S^{q+1}V* (x) W
     the rewritten equations cut out A^(q), and A^(q)_k is their kernel on the
     column prefix of multisets inside u^{k+1..n}: dim A^(q)_k is the prefix
     width minus the pivot columns in the prefix. The whole corank must be
     dim A^(q).
     """
     n = t.dim_V
-    if ob.change.rows != n:
+    if len(ob.rows) != n:
         raise ValueError("ordering size must match dim V*")
-    change = _ints(ob.change.row_dicts())[0]
-    if len(int_pivot_cols(change)) != n:
-        raise ValueError(f"ordering '{ob.label}' is singular")
     columns = [{} for _ in range(n)]  # columns[j][i] = C[i, j]
-    for i, row in enumerate(change):
+    for i, row in enumerate(ob.rows):
         for j, v in row.items():
             columns[j][i] = v
     root = t.root
@@ -430,13 +435,7 @@ def _greedy_ordering(t: Tableau) -> OrderedBasis:
     if len(state) != n * w:
         raise InvariantViolation(f"{t.system} level {t.level}, ordering 'greedy': "
                                  f"dim A + gains = {len(state)} != {n * w} = dim V * dim W")
-    rows = []
-    for cand in reversed(chosen_back):
-        row = [0] * n
-        for c, v in cand.items():
-            row[c] = GaussRational(*v)
-        rows.append(row)
-    return OrderedBasis.from_rows(rows, "greedy")
+    return OrderedBasis(chosen_back[::-1], "greedy")
 
 
 def search_ordering(t: Tableau, strategy: str, seed: int = None) -> OrderedBasis:
@@ -460,8 +459,10 @@ def search_ordering(t: Tableau, strategy: str, seed: int = None) -> OrderedBasis
         rng = _random.Random(seed)
         n = t.dim_V
         while True:
-            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            int_rows = [{c: (v, 0) for c, v in enumerate(row) if v} for row in rows]
-            if len(int_pivot_cols(int_rows)) == n:
-                return OrderedBasis.from_rows(rows, f"random:{seed}")
+            draw = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            rows = [{c: (v, 0) for c, v in enumerate(row) if v} for row in draw]
+            try:
+                return OrderedBasis(rows, f"random:{seed}")
+            except ValueError:  # singular: the constructor's check is its one elimination
+                continue
     raise ValueError(f"unknown ordering strategy {strategy!r}")

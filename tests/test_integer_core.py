@@ -5,12 +5,18 @@ checking the Clifford relations."""
 
 import pytest
 
-from kdirac import linalg
+from kdirac import linalg, tableau
 from kdirac.clifford import build_spinor_rep
 from kdirac.euclidean import build_euclidean
 from kdirac.parabolic import build_parabolic
-from kdirac.polynomials import apply_op, solution_dim
-from kdirac.tableau import filtration_dims, prolong, prolongation_dim, search_ordering
+from kdirac.polynomials import apply_op, solution_dim, solution_space
+from kdirac.tableau import (
+    cartan_test,
+    filtration_dims,
+    prolong,
+    prolongation_dim,
+    search_ordering,
+)
 
 
 @pytest.fixture(scope="module", params=["e(3,2)", "p(3,2)"])
@@ -45,6 +51,33 @@ def test_prolongation_and_slices(system, built):
     assert prolongation_dim(lifted) == prolong(lifted).dim
     assert solution_dim(system.ops, system.vars, system.s, 3) > 0
     assert built == []
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cartan_test_under_a_random_flag(system, built, count_calls, seed):
+    """Once dim A^(2) is known, drawing a random flag and testing under it
+    builds no GaussRational and takes two column rank profiles: the flag's
+    invertibility check and the filtration's."""
+    t = prolong(system.tableau()).lifted
+    prolongation_dim(t)
+    built.clear()
+    calls = count_calls([(tableau, "int_pivot_cols")])
+    cartan_test(t, search_ordering(t, "random", seed))
+    assert built == []
+    assert calls == {"int_pivot_cols": 2}
+
+
+@pytest.mark.parametrize("build, n, k, degrees", [
+    (build_euclidean, 3, 2, (1, 2, 3)),
+    (build_euclidean, 4, 2, (1, 2, 3)),
+    (build_parabolic, 3, 2, (1, 2, 3)),
+    (build_euclidean, 3, 3, (2,)),
+], ids=["e(3,2)", "e(4,2)", "p(3,2)", "e(3,3)"])
+def test_solution_dim_is_the_solution_space_dim(build, n, k, degrees):
+    sys = build(n, k)
+    for d in degrees:
+        assert solution_dim(sys.ops, sys.vars, sys.s, d) == solution_space(
+            sys.ops, sys.vars, sys.s, d).dim
 
 
 @pytest.mark.parametrize("strategy, seed", [("greedy", None), ("random", 1)])

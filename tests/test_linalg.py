@@ -76,10 +76,6 @@ class TestGaussRational:
         if b:
             assert (a / b) * b == a
 
-    def test_conjugate(self):
-        z = GR(2, 3)
-        assert z * z.conjugate() == GR(13)
-
 
 class TestRref:
     def test_identity(self):

@@ -109,22 +109,43 @@ class TestFiltration:
         assert filtration_dims(t, ob) == [0, 0] == sympy_filtration_dims(t, ob)
 
     def test_singular_ordering_rejected(self):
-        t = Tableau.full(2, 1)
-        bad = OrderedBasis.from_rows([[1, 1], [2, 2]], "bad")
         with pytest.raises(ValueError, match="ordering 'bad' is singular"):
-            filtration_dims(t, bad)
+            OrderedBasis.from_rows([[1, 1], [2, 2]], "bad")
+
+    def test_rows_scaled_by_their_own_denominators(self):
+        """Each row is scaled to Gaussian integers on its own; the filtration
+        equals sympy's on the rows as given, unscaled."""
+        dense = [
+            [Fraction(1, 2), GR(0, Fraction(1, 3)), 1],
+            [GR(Fraction(2, 5), -1), 0, Fraction(-3, 4)],
+            ["1/7", GR(1, 1), 0],
+        ]
+        ob = OrderedBasis.from_rows(dense, "mixed")
+        assert ob.rows == [
+            {0: (3, 0), 1: (0, 2), 2: (6, 0)},
+            {0: (8, -20), 2: (-15, 0)},
+            {0: (1, 0), 1: (7, 7)},
+        ]
+        t = random_tableau(random.Random(2), 3, 2, 5)  # identity flag: [4, 2, 0]
+        for tab in (t, prolong(t).lifted):
+            expected = sympy_filtration_dims(tab, ob, dense)
+            assert filtration_dims(tab, ob) == expected == sympy_filtration_dims(tab, ob)
 
 
 def gaussian(v):
     return QQ_I(QQ(v.re.numerator, v.re.denominator), QQ(v.im.numerator, v.im.denominator))
 
 
-def sympy_filtration_dims(t, ob):
+def sympy_filtration_dims(t, ob, dense=None):
     """dim A_k = dim A - rank of the leading k * dim_W columns, with sympy
     (exact matrices over Q(i)) inverting the change of basis and transforming
-    the basis."""
+    the basis. The change of basis is the flag's rows, or the ``dense`` rows
+    of int, Fraction, str or GaussRational entries it was built from."""
     n, w = t.dim_V, t.dim_W
-    change = [[gaussian(ob.change.entry(i, j)) for j in range(n)] for i in range(n)]
+    if dense is None:
+        change = [[QQ_I(*row.get(j, (0, 0))) for j in range(n)] for row in ob.rows]
+    else:
+        change = [[gaussian(v if isinstance(v, GR) else GR(v)) for v in row] for row in dense]
     inv_t = DomainMatrix(change, (n, n), QQ_I).inv().transpose()
     rows = []
     for vec in t.basis.vectors:
@@ -319,14 +340,31 @@ class TestSearchOrdering:
     def test_given_is_identity(self):
         t = Tableau.full(3, 1)
         ob = search_ordering(t, "given")
-        assert ob.change.entries == {(i, i): GR(1) for i in range(3)}
+        assert ob.rows == [{i: (1, 0)} for i in range(3)]
 
     def test_random_reproducible(self):
         t = Tableau.full(4, 1)
         a = search_ordering(t, "random", seed=1)
         b = search_ordering(t, "random", seed=1)
-        assert a.change == b.change
+        assert a.rows == b.rows
         assert a.label == "random:1"
+
+    def test_random_rows_pinned(self):
+        """The draw order of the generator, fixed: row-major, entries in -3..3."""
+        assert search_ordering(Tableau.full(4, 1), "random", 1).rows == [
+            {0: (-2, 0), 1: (1, 0), 2: (3, 0), 3: (3, 0)},
+            {0: (3, 0), 1: (-3, 0), 2: (-1, 0), 3: (-3, 0)},
+            {1: (3, 0)},
+            {0: (2, 0), 2: (3, 0), 3: (-2, 0)},
+        ]
+
+    def test_random_redraw_eliminates_each_draw_once(self, count_calls):
+        """Seed 2 first draws a singular 2 x 2 matrix; the constructor's check
+        is the only elimination of either draw."""
+        calls = count_calls([(tableau, "int_pivot_cols")])
+        ob = search_ordering(Tableau.full(2, 1), "random", 2)
+        assert ob.rows == [{0: (-3, 0), 1: (-1, 0)}, {0: (3, 0), 1: (-2, 0)}]
+        assert calls == {"int_pivot_cols": 2}
 
     def test_random_requires_seed(self):
         with pytest.raises(ValueError):
@@ -349,7 +387,12 @@ class TestSearchOrdering:
 
 
 def reversed_identity(n):
-    return [{i: 1} for i in reversed(range(n))]
+    return [{i: (1, 0)} for i in reversed(range(n))]
+
+
+def pairs(rows):
+    """Rows of integer entries as Gaussian-integer pair rows."""
+    return [{c: (v, 0) for c, v in row.items()} for row in rows]
 
 
 class TestGreedyFlags:
@@ -357,11 +400,11 @@ class TestGreedyFlags:
 
     def test_e33_level1(self):
         lifted = prolong(build_euclidean(3, 3).tableau()).lifted
-        rows = search_ordering(lifted, "greedy").change.row_dicts()
-        assert rows == [
+        rows = search_ordering(lifted, "greedy").rows
+        assert rows == pairs([
             {6: 1}, {5: 1}, {4: 1}, {3: 1}, {4: 1, 8: 1}, {3: 1, 7: 1},
             {2: 1}, {1: 1}, {0: 1},
-        ]
+        ])
 
     @pytest.mark.parametrize("build,expected", [
         (build_euclidean, [
@@ -376,7 +419,7 @@ class TestGreedyFlags:
     def test_level1_k3_n4(self, build, expected):
         """The sizes at which stored gains are skipped and residuals refreshed."""
         lifted = prolong(build(4, 3).tableau()).lifted
-        assert search_ordering(lifted, "greedy").change.row_dicts() == expected
+        assert search_ordering(lifted, "greedy").rows == pairs(expected)
 
     @pytest.mark.parametrize(
         "build,n,k",
@@ -384,7 +427,7 @@ class TestGreedyFlags:
     )
     def test_level0_reversed_identity(self, build, n, k):
         t = build(n, k).tableau()
-        rows = search_ordering(t, "greedy").change.row_dicts()
+        rows = search_ordering(t, "greedy").rows
         assert rows == reversed_identity(t.dim_V)
 
 
@@ -439,13 +482,13 @@ class TestGreedyOracle:
     @given(small_tableaux())
     def test_matches_brute_force_rule(self, t):
         ob = search_ordering(t, "greedy")
-        assert ob.change.row_dicts() == brute_force_greedy(t)
+        assert ob.rows == to_int_rows(brute_force_greedy(t))
 
     @settings(max_examples=80, deadline=None)
     @given(small_tableaux(max_V=5, max_W=3))
     def test_matches_brute_force_rule_up_to_dim_V_5(self, t):
         ob = search_ordering(t, "greedy")
-        assert ob.change.row_dicts() == brute_force_greedy(t)
+        assert ob.rows == to_int_rows(brute_force_greedy(t))
 
 
 def chain_tensors(t):
