@@ -310,11 +310,13 @@ def _constraint_rows(
         monos = monomial_basis(vars, weighted_degree)
     ncols = len(monos) * spinor_dim
     rows = []
+    indexes = {d: {e: i for i, e in enumerate(monomial_basis(vars, d))}
+               for d in {weighted_degree + shift for shift in shifts} if d >= 0}
     for op, shift in zip(ops, shifts):
         target_deg = weighted_degree + shift
         if target_deg < 0:
             continue
-        targets = {e: i for i, e in enumerate(monomial_basis(vars, target_deg))}
+        targets = indexes[target_deg]
         base_row = len(rows)
         rows += [{} for _ in range(len(targets) * spinor_dim)]
         for m_idx, exps in enumerate(monos):

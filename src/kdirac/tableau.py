@@ -7,11 +7,12 @@ symmetric 2-tensors whose contractions against every covector slot stay in A;
 computationally that is the kernel of one sparse constraint matrix whose rows
 are indexed by (unordered covector pair, W-coordinate).
 
-``prolong`` builds that kernel. ``prolongation_dim`` takes a smaller rank: for
-the tableau A^(q) q levels below its root A, A^(q+1) is the kernel of the
-equations of A (its annihilator) on every (q+1)-fold contraction of
-S^{q+2}V* (x) W (Seiler, *Involution*, ch. 6). The equations, and each
-dim A^(q+1), are computed once per root tableau.
+``prolongation_dim`` takes a smaller rank: for the tableau A^(q) q levels
+below its root A, A^(q+1) is the kernel of the equations of A (its
+annihilator) on every (q+1)-fold contraction of S^{q+2}V* (x) W (Seiler,
+*Involution*, ch. 6). The equations, and each dim A^(q+1), are computed once
+per root tableau. ``prolong`` solves nothing: a lifted tableau's dimension is
+that memo; its basis, the kernel above, is built on first read and checked.
 
 ``tensors`` takes the canonical basis of A^(q) as the kernel of the same
 equations, one column per (multiset of q+1 covector indices, W-index), so a
@@ -28,9 +29,7 @@ every equation outside it is zero on it, so dim A^(q)_k is the prefix width
 minus the pivot columns (the column rank profile, from one forward
 elimination) that fall in the prefix. Characters are the filtration
 increments and the test compares dim A^(1) with s_1 + 2 s_2 + ... + n s_n.
-An :class:`OrderedBasis` is checked invertible once, when built. Scaling one
-u^i keeps every span u^{k+1..n}, hence every A_k, so each flag row is scaled
-to integers by its own denominator.
+An :class:`OrderedBasis` is checked invertible once, when built.
 
 The greedy ordering search reduces each candidate covector's W-block once and
 then re-reduces only rows whose lead the state has since reached. A gain only
@@ -56,9 +55,7 @@ from .linalg import (
     ONE,
     InvariantViolation,
     SubspaceBasis,
-    _as_sparse_vec,
     _axpy,
-    _ints,
     int_kernel_rows,
     int_pivot_cols,
     kernel_rows,  # noqa: F401 -- bench/test_checks.py traces tableau.kernel_rows
@@ -71,7 +68,8 @@ class Tableau:
     ``system`` and ``level`` name it in failure messages: a system builder
     sets the first, as "e(3,2)", and a prolongation raises the level by one.
     ``source`` is the tableau this one is the first prolongation of, or None
-    for a tableau built directly; ``root`` is the end of that chain.
+    for a tableau built directly; ``root`` is the end of that chain. A lifted
+    tableau's dim is read off the root's equations, its basis built on first read.
     """
 
     system = "tableau"
@@ -120,7 +118,7 @@ class OrderedBasis:
     """Ordered basis u^1..u^n of V*, ``rows[i]`` = u^i in old coordinates as
     a Gaussian-integer pair row; the constructor's one column rank profile
     makes every OrderedBasis invertible. Scaling one u^i keeps every span
-    u^{k+1..n}, so :meth:`from_rows` scales each row by its own denominator."""
+    u^{k+1..n}, so rational rows may each be scaled to integers."""
 
     def __init__(self, rows: list, label: str = "given"):
         n = len(rows)
@@ -134,13 +132,6 @@ class OrderedBasis:
     @classmethod
     def identity(cls, dim_V: int, label: str = "given") -> "OrderedBasis":
         return cls([{i: (1, 0)} for i in range(dim_V)], label)
-
-    @classmethod
-    def from_rows(cls, rows, label: str) -> "OrderedBasis":
-        """Dense rows of int, Fraction, str or GaussRational entries."""
-        if any(len(row) != len(rows) for row in rows):
-            raise ValueError("change of basis must be square")
-        return cls([_ints([_as_sparse_vec(row)])[0][0] for row in rows], label)
 
     @classmethod
     def permutation(cls, order, label: str) -> "OrderedBasis":
@@ -188,16 +179,38 @@ class Prolongation:
 
     ``lifted`` presents the prolongation as a tableau inside V* (x) A, ready
     for the next round of the test; its ``source`` is the prolonged tableau.
+    Its dimension is ``prolongation_dim(source)``, from the root's equations;
+    its basis, the kernel of ``_prolongation_rows(source)``, is built when
+    first read and cross-checked against that dimension.
     """
 
-    def __init__(self, source: Tableau, coefficients: SubspaceBasis):
-        self.lifted = Tableau(source.dim_V, source.dim, coefficients)
-        self.lifted.system, self.lifted.level = source.system, source.level + 1
-        self.lifted.source = source
+    def __init__(self, source: Tableau):
+        self.lifted = _Lifted(source)
 
     @property
     def dim(self) -> int:
         return self.lifted.dim
+
+
+class _Lifted(Tableau):
+    """The ``lifted`` tableau of a :class:`Prolongation`."""
+
+    def __init__(self, source: Tableau):
+        self.dim_V, self.dim_W = source.dim_V, source.dim
+        self.system, self.level, self.source = source.system, source.level + 1, source
+
+    @property
+    def dim(self) -> int:
+        return prolongation_dim(self.source)
+
+    @cached_property
+    def basis(self) -> SubspaceBasis:
+        s = self.source
+        basis = int_kernel_rows(_prolongation_rows(s), s.dim_V * s.dim)
+        if basis.dim != self.dim:
+            raise InvariantViolation(f"{self.system} level {self.level}: V* (x) A kernel "
+                                     f"dimension {basis.dim} != {self.dim} from the equations")
+        return basis
 
 
 def multisets(n: int, d: int) -> list:
@@ -216,9 +229,9 @@ def tensors(t: Tableau, q: int) -> list:
 
 
 def prolong(t: Tableau) -> Prolongation:
-    """First prolongation of a tableau (canonical coefficient basis)."""
-    coeffs = int_kernel_rows(_prolongation_rows(t), t.dim_V * t.dim)
-    return Prolongation(t, coeffs)
+    """First prolongation of a tableau: its dimension comes from the root's
+    equations, its basis is built and cross-checked when first read."""
+    return Prolongation(t)
 
 
 def _symmetric_rows(equations, n: int, w: int, q: int):

@@ -65,7 +65,7 @@ class TestLevelZero:
 
     def test_quadratic_dim_both_routes(self, sys32):
         t = sys32.tableau()
-        assert prolong(t).dim == 18
+        assert prolong(t).lifted.basis.dim == 18
         assert sys32.monogenic_space(2).dim == 18
         assert quadratic_dim_formula(3, 2, 2) == 18
 

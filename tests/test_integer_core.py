@@ -47,8 +47,8 @@ def test_counter_sees_the_api_edge(system, built):
 def test_prolongation_and_slices(system, built):
     t = system.tableau()
     lifted = prolong(t).lifted
-    assert prolongation_dim(t) == lifted.dim
-    assert prolongation_dim(lifted) == prolong(lifted).dim
+    assert prolongation_dim(t) == lifted.basis.dim
+    assert prolongation_dim(lifted) == prolong(lifted).lifted.basis.dim
     assert solution_dim(system.ops, system.vars, system.s, 3) > 0
     assert built == []
 

@@ -40,7 +40,8 @@ CASES = {
     "corank": (one_equation_short, level0_report,
                ["e(3,2) level 0, ordering 'paper'", "corank of the equations 9 != 8 = dim A"]),
     "Cartan bound": (
-        lambda mp: mp.setattr(tableau, "prolongation_dim", lambda t: 1000),
+        lambda mp: mp.setattr(tableau, "prolongation_dim", lambda t, dim=tableau.prolongation_dim:
+                              1000 if t.level >= 1 else dim(t)),
         level1_report,
         ["e(3,2) level 1, ordering 'paper'", "dim A^(1) = 1000 > 32 = rhs"]),
     "e tableau": (tableau_one_too_large, lambda: build_euclidean(3, 2),
@@ -63,6 +64,11 @@ CASES = {
         lambda: build_parabolic(3, 2),
         ["p(3,2)", "[L_11, L_12] = g_11 d_12", "on the probe y_1_2",
          "got (-1) 1 e0, expected (1) 1 e0"]),
+    "lifted basis": (
+        lambda mp: mp.setattr(tableau, "_prolongation_rows",
+                              lambda t, rows=tableau._prolongation_rows: rows(t)[1:]),
+        lambda: prolong(build_euclidean(3, 2).tableau()).lifted.basis,
+        ["e(3,2) level 1", "V* (x) A kernel dimension 19 != 18"]),
     "second graded split": (
         ranks_off(parabolic),
         lambda: parabolic.parabolic_prolongation_decomposition(build_parabolic(3, 2), level=2),

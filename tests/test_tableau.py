@@ -57,7 +57,7 @@ def column_multisets(n, d):
 class TestProlong:
     def test_zero_tableau(self):
         t = Tableau.zero(3, 2)
-        assert prolong(t).dim == 0
+        assert prolong(t).lifted.basis.dim == 0
         assert prolongation_dim(t) == 0
 
     @pytest.mark.parametrize("dim_V,dim_W", [(2, 1), (3, 2), (4, 3)])
@@ -65,7 +65,7 @@ class TestProlong:
         t = Tableau.full(dim_V, dim_W)
         p = prolong(t)
         expected = comb(dim_V + 1, 2) * dim_W
-        assert p.dim == expected
+        assert p.lifted.basis.dim == expected
         assert prolongation_dim(t) == expected
 
     def test_raw_slices_stay_in_tableau(self):
@@ -85,7 +85,7 @@ class TestProlong:
                              ids=["e(3,2)", "p(3,2)"])
     def test_second_prolongation_tensors(self, build, expected):
         t = build(3, 2).tableau()
-        assert len(tensors(t, 2)) == prolong(prolong(t).lifted).dim == expected
+        assert len(tensors(t, 2)) == prolong(prolong(t).lifted).lifted.basis.dim == expected
 
 
 class TestFiltration:
@@ -105,22 +105,24 @@ class TestFiltration:
         # u1 = e1, u2 = e1 + 2 e2: e1 + e2 = u1/2 + u2/2 is not in span(u2),
         # so A_1 = 0; scaling only the 1/2 row of the inverse would give 1
         t = Tableau(2, 1, SubspaceBasis.from_vectors(2, [[1, 1]]))
-        ob = OrderedBasis.from_rows([[1, 0], [1, 2]], "skew")
+        ob = OrderedBasis(pairs([{0: 1}, {0: 1, 1: 2}]), "skew")
         assert filtration_dims(t, ob) == [0, 0] == sympy_filtration_dims(t, ob)
 
     def test_singular_ordering_rejected(self):
         with pytest.raises(ValueError, match="ordering 'bad' is singular"):
-            OrderedBasis.from_rows([[1, 1], [2, 2]], "bad")
+            OrderedBasis(pairs([{0: 1, 1: 1}, {0: 2, 1: 2}]), "bad")
 
     def test_rows_scaled_by_their_own_denominators(self):
-        """Each row is scaled to Gaussian integers on its own; the filtration
-        equals sympy's on the rows as given, unscaled."""
+        """Each row scaled to Gaussian integers on its own gives the
+        filtration sympy gives on the rows as written, unscaled."""
         dense = [
             [Fraction(1, 2), GR(0, Fraction(1, 3)), 1],
             [GR(Fraction(2, 5), -1), 0, Fraction(-3, 4)],
             ["1/7", GR(1, 1), 0],
         ]
-        ob = OrderedBasis.from_rows(dense, "mixed")
+        ob = OrderedBasis([to_int_rows([{c: v if isinstance(v, GR) else GR(v)
+                                         for c, v in enumerate(row)}])[0]
+                           for row in dense], "mixed")
         assert ob.rows == [
             {0: (3, 0), 1: (0, 2), 2: (6, 0)},
             {0: (8, -20), 2: (-15, 0)},
@@ -284,8 +286,8 @@ class TestCartanTest:
                    for seed in range(1, 9)]
         again = cartan_test(prolong(root).lifted, level1_ordering(system))
         monkeypatch.undo()
-        # nine filtrations on S^2 V* (x) W, one rank of the equations on S^3
-        assert sorted(degrees) == [1] * 9 + [2]
+        # nine filtrations and dim A^(1) on S^2 V* (x) W, dim A^(2) on S^3
+        assert sorted(degrees) == [1] * 10 + [2]
         fresh = prolong(build_euclidean(3, 2).tableau()).lifted
         assert {r.dim_prolongation for r in reports} == {again.dim_prolongation}
         assert again.dim_prolongation == prolongation_dim(fresh) == 32
@@ -571,9 +573,30 @@ class TestRootRoute:
     @settings(max_examples=60, deadline=None)
     @given(small_tableaux(max_V=4))
     def test_matches_lifted_route_at_depths_0_and_1(self, t):
-        p = prolong(t)
-        assert prolongation_dim(t) == p.dim
-        assert prolongation_dim(p.lifted) == prolong(p.lifted).dim
+        lifted = prolong(t).lifted
+        assert prolongation_dim(t) == lifted.basis.dim
+        assert prolongation_dim(lifted) == prolong(lifted).lifted.basis.dim
+
+    @pytest.mark.parametrize("build, n, k", [
+        (build_euclidean, 3, 2), (build_euclidean, 4, 2), (build_parabolic, 3, 2),
+        (build_euclidean, 3, 3),
+    ], ids=["e(3,2)", "e(4,2)", "p(3,2)", "e(3,3)"])
+    def test_lifted_basis_at_levels_0_and_1(self, build, n, k):
+        """The V* (x) A kernel, built when the basis is first read, has the
+        dimension the root's equations give."""
+        t = build(n, k).tableau()
+        for _ in range(2):
+            lifted = prolong(t).lifted
+            assert lifted.basis.dim == prolongation_dim(t)
+            t = lifted
+
+    def test_level1_report_solves_no_lifted_kernel(self, count_calls):
+        system = build_euclidean(3, 2)
+        root = system.tableau()
+        cartan_test(prolong(root).lifted, level1_ordering(system))  # warms the memos
+        calls = count_calls([(tableau, "_prolongation_rows"), (tableau, "int_kernel_rows")])
+        cartan_test(prolong(root).lifted, level1_ordering(system))
+        assert calls == {"_prolongation_rows": 0, "int_kernel_rows": 0}
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_levels_0_to_2_match_monogenic_slices(self, n):
@@ -581,7 +604,7 @@ class TestRootRoute:
         t = system.tableau()
         for q in range(3):
             p = prolong(t)
-            assert prolongation_dim(t) == system.monogenic_dim(q + 2) == p.dim
+            assert prolongation_dim(t) == system.monogenic_dim(q + 2) == p.lifted.basis.dim
             t = p.lifted
 
     def test_e53_levels_1_and_2(self):
