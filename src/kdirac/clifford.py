@@ -14,7 +14,7 @@ eigenspaces are the two half-spinor summands, each of dimension s/2.
 
 from dataclasses import dataclass
 
-from .linalg import ExactMatrix, GaussRational, IMAG, ONE, ZERO, InvariantViolation, _ints
+from .linalg import ExactMatrix, GaussRational, IMAG, ONE, InvariantViolation, _ints
 
 _PAULI_X = ExactMatrix.from_rows([[0, 1], [1, 0]])
 _PAULI_Y = ExactMatrix.from_rows([[0, GaussRational(0, -1)], [GaussRational(0, 1), 0]])
@@ -159,16 +159,3 @@ def build_spinor_rep(n: int, k: int = 2) -> CliffordRep:
     rep = CliffordRep(params, gamma, chirality)
     rep.verify()
     return rep
-
-
-def clifford_apply(rep: CliffordRep, alpha: int, v):
-    """Apply the alpha-th generator (1-based, as in the x_{alpha i} labels) to
-    a spinor given as a length-s sequence."""
-    if not 1 <= alpha <= rep.n:
-        raise ValueError(f"generator index {alpha} outside 1..{rep.n}")
-    if len(v) != rep.s:
-        raise ValueError("spinor has wrong length")
-    out = [ZERO] * rep.s
-    for (nu, mu), val in rep.gamma[alpha - 1].entries.items():
-        out[nu] = out[nu] + val * v[mu]
-    return out

@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import comb
 
 from .clifford import CliffordRep, build_spinor_rep
-from .linalg import GaussRational, InvariantViolation, _projected_ranks
+from .linalg import GaussRational, InvariantViolation, _projected_ranks, to_int_rows
 from .polynomials import (
     DiffOp,
     SlotSystem,
@@ -81,23 +81,20 @@ def level0_ordering(sys: EuclideanSystem) -> OrderedBasis:
 
 
 def level1_ordering(sys: EuclideanSystem) -> OrderedBasis:
-    """The hand-picked chart ordering for k = 2 (label "paper").
-
-    Built from the t-chart: the leading covectors t_1..t_{2n-3} carry the
-    initial data, e_i (x) eps_r for r < n-2 and i = 1, 2, then e1 (x)
-    eps_{n-2}, e2 (x) eps_{n-1} and (e1 + e2) (x) eps_n; the trailing three
+    """The hand-picked chart ordering for k = 2 (label "paper"): row j is
+    dt_{j+1} in x-coordinates, scaled to integers. ``_chart_data`` gives
+    d/dx_{alpha i} = sum_j c d/dt_j, so c is dt_j's entry at x_{alpha i}. The
+    leading covectors t_1..t_{2n-3} carry the initial data; the trailing three
     are (e1 - e2) (x) eps_n, e2 (x) eps_{n-2} and e1 (x) eps_{n-1}.
     """
     if sys.k != 2:
         raise ValueError("the built-in level-1 ordering exists only for k = 2")
-    n = sys.n
-    col = lambda r, i: 2 * (r - 1) + i - 1  # noqa: E731 -- covector dual to x_{r i}
-    units = [(r, i) for r in range(1, n - 2) for i in (1, 2)] + [(n - 2, 1), (n - 1, 2)]
-    one, minus = (1, 0), (-1, 0)
-    rows = [{col(r, i): one} for r, i in units]
-    rows += [{col(n, 1): one, col(n, 2): one}, {col(n, 1): one, col(n, 2): minus}]
-    rows += [{col(n - 2, 2): one}, {col(n - 1, 1): one}]
-    return OrderedBasis(rows, label="paper")
+    vars, table = _chart_data(sys.n)
+    rows = [{} for _ in range(len(vars))]
+    for (a, i), terms in table.items():
+        for j, coeff in terms:
+            rows[j][sys.var_index(a, i)] = coeff
+    return OrderedBasis([to_int_rows([row])[0] for row in rows], label="paper")
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,17 @@ the elimination.
 
 One kernel, ``_echelon``, eliminates: it takes the rows one at a time and
 reduces each, fraction free (cross-multiplication updates plus content
-stripping), against the rows kept so far, keyed by leading column.
-Of two rows leading at one column it keeps the one with the smaller lead
-|re| + |im|, then the fewer entries (a local Markowitz-style rule), which
-keeps fill and entry growth low on the sparse symbol matrices built elsewhere
-in this package and on the dense rows of random flags. ``int_pivot_cols``
-reads the column rank profile off its leads; ``_rref`` back-substitutes its
-rows into the canonical reduced echelon form, behind ``int_kernel_rows``
-(the kernel) and :class:`RowFactor` (one matrix reduced once for many data).
+stripping), against any ``held`` rows, which it never changes, then the rows
+kept so far, keyed by leading column. ``SubspaceBasis.contains`` holds its
+basis and the greedy flag search in ``tableau`` its state, so a reduction
+returns only the new pivots, the rank added. Of two rows leading at one
+column it keeps the one with the smaller lead |re| + |im|, then the fewer
+entries (a local Markowitz-style rule), which keeps fill and entry growth low
+on the sparse symbol matrices built elsewhere in this package and on the dense
+rows of random flags. ``int_pivot_cols`` reads the column rank profile off its
+leads; ``_rref`` back-substitutes its rows into the canonical reduced echelon
+form, behind ``int_kernel_rows`` (the kernel) and :class:`RowFactor` (one
+matrix reduced once for many data).
 A :class:`SubspaceBasis` keeps its canonical reduced-row-echelon basis as
 integer rows over one least denominator, so two equal subspaces always
 produce bit-identical bases.
@@ -137,9 +140,6 @@ def _coerce(value):
 ZERO = GaussRational(0)
 ONE = GaussRational(1)
 IMAG = GaussRational(0, 1)
-
-#: Sparse vector: column index -> nonzero GaussRational.
-Vec = dict
 
 
 class ExactMatrix:
@@ -334,18 +334,22 @@ def _axpy(target: dict, source: dict, u, v) -> None:
     _strip(target)
 
 
-def _echelon(int_rows: Sequence[dict], limit=None):
+def _echelon(int_rows: Iterable[dict], limit=None, held=None):
     """Forward elimination of Gaussian-integer rows, one row at a time.
 
-    Returns (pivots, rest): ``pivots`` maps each lead column before ``limit``
-    to the one kept row leading there, ``rest`` lists the nonzero remainders
-    leading at or past it. Each row is reduced against the kept rows until its
-    lead is new; when two rows lead at one column the one with the smaller
-    lead |re| + |im|, then the fewer entries, is kept and the other is reduced
-    by it, which keeps entries small on dense rows. A row is copied before its
-    first update, so the input rows are never changed; a row kept or left over
-    unchanged is the caller's own object.
+    Returns (pivots, rest): ``pivots`` maps each new lead column before
+    ``limit`` to the one kept row leading there, ``rest`` lists the nonzero
+    remainders leading at or past it. ``held`` (a basis in ``contains``, the
+    greedy flag search's state) maps lead columns to rows in echelon form that
+    are never changed, swapped out or returned: a row is reduced against them
+    first, so ``pivots`` holds only the leads the rows add. Each row is
+    reduced until its lead is new; when two kept rows lead at one column the
+    one with the smaller lead |re| + |im|, then the fewer entries, is kept and
+    the other is reduced by it, which keeps entries small on dense rows. A row
+    is copied before its first update, so the input rows are never changed; a
+    row kept or left over unchanged is the caller's own object.
     """
+    held = held or {}
     pivots, rest = {}, []
     for row in int_rows:
         mine = False
@@ -354,16 +358,18 @@ def _echelon(int_rows: Sequence[dict], limit=None):
             if limit is not None and lead >= limit:
                 rest.append(row)
                 break
-            held = pivots.get(lead)
-            if held is None:
-                pivots[lead] = row
-                break
-            (ra, rb), (ha, hb) = row[lead], held[lead]
-            if (abs(ra) + abs(rb), len(row)) < (abs(ha) + abs(hb), len(held)):
-                pivots[lead], row, held, mine = row, held, row, False
+            other = held.get(lead)
+            if other is None:
+                other = pivots.get(lead)
+                if other is None:
+                    pivots[lead] = row
+                    break
+                (ra, rb), (ha, hb) = row[lead], other[lead]
+                if (abs(ra) + abs(rb), len(row)) < (abs(ha) + abs(hb), len(other)):
+                    pivots[lead], row, other, mine = row, other, row, False
             if not mine:
                 row, mine = dict(row), True
-            _axpy(row, held, held[lead], row[lead])
+            _axpy(row, other, other[lead], row[lead])
     return pivots, rest
 
 
@@ -571,11 +577,7 @@ class SubspaceBasis:
 
     def contains(self, vector) -> bool:
         vec = to_int_rows([_as_sparse_vec(vector)])[0]
-        for pc, row in zip(self.pivots, self.rows):
-            coeff = vec.get(pc)
-            if coeff is not None:
-                _axpy(vec, row, row[pc], coeff)
-        return not vec
+        return not _echelon([vec], held=dict(zip(self.pivots, self.rows)))[0]
 
     def __eq__(self, other):
         return (

@@ -31,10 +31,11 @@ elimination) that fall in the prefix. Characters are the filtration
 increments and the test compares dim A^(1) with s_1 + 2 s_2 + ... + n s_n.
 An :class:`OrderedBasis` is checked invertible once, when built.
 
-The greedy ordering search reduces each candidate covector's W-block once and
-then re-reduces only rows whose lead the state has since reached. A gain only
-shrinks and ties go to the earliest candidate, so candidates whose stored gain
-cannot win are skipped; the flag is the one a full search gives.
+The greedy ordering search reduces each candidate's W-block once, by
+``linalg._echelon`` against the state held fixed, then re-reduces only the
+rows it kept. A gain only shrinks and ties go to the earliest candidate, so
+candidates whose stored gain cannot win are skipped; the flag is the one a
+full search gives.
 
 Everything here runs on Gaussian-integer pair rows: a tableau basis is a
 :class:`SubspaceBasis`, whose integer rows (the canonical basis times one
@@ -55,7 +56,7 @@ from .linalg import (
     ONE,
     InvariantViolation,
     SubspaceBasis,
-    _axpy,
+    _echelon,
     int_kernel_rows,
     int_pivot_cols,
     kernel_rows,  # noqa: F401 -- bench/test_checks.py traces tableau.kernel_rows
@@ -186,10 +187,6 @@ class Prolongation:
 
     def __init__(self, source: Tableau):
         self.lifted = _Lifted(source)
-
-    @property
-    def dim(self) -> int:
-        return self.lifted.dim
 
 
 class _Lifted(Tableau):
@@ -365,32 +362,6 @@ def cartan_test(t: Tableau, ob: OrderedBasis = None) -> CartanReport:
 # ---------------------------------------------------------------------------
 
 
-def _reduce_lead(vec: dict, *pivot_maps):
-    """Forward-reduce a Gaussian-integer row in place against rows keyed by
-    their leading column. Returns the remainder's leading column, or None when
-    the row reduces to zero."""
-    while vec:
-        lead = min(vec)
-        for pm in pivot_maps:
-            row = pm.get(lead)
-            if row is not None:
-                _axpy(vec, row, row[lead], vec[lead])
-                break
-        else:
-            return lead
-    return None
-
-
-def _residuals(rows, state: dict) -> dict:
-    """Rows forward-reduced in place against ``state`` and each other, by lead."""
-    out = {}
-    for row in rows:
-        lead = _reduce_lead(row, state, out)
-        if lead is not None:
-            out[lead] = row
-    return out
-
-
 def _greedy_ordering(t: Tableau) -> OrderedBasis:
     """Build the ordered basis backwards along the trailing flag.
 
@@ -400,17 +371,17 @@ def _greedy_ordering(t: Tableau) -> OrderedBasis:
     minimises the next trailing filtration dimension; ties go to the earliest
     candidate, so the ordering is reproducible.
 
-    Each W-block is reduced against the tableau once; its residual rows are
-    kept, keyed by lead, and their number is the gain. A step reduces again
-    only the rows whose lead has since become a state pivot. The gain never
-    grows with the state (rank is submodular) and ties go to the earliest
-    candidate, so a candidate whose stored gain is at most the step's best
-    cannot win and is skipped (Minoux's lazy greedy rule): the flag is the
-    one a full re-reduction at every step gives. A candidate whose covector
-    lies in the span of the chosen ones is dropped with its rows when it is
-    next examined; the span only grows, so it could never be picked. Rows
-    are Gaussian-integer pairs; ranks do not depend on row scaling, so every
-    count is exact over Q(i). The chosen covectors span V*, so
+    Each W-block is reduced once against the state held fixed (``_echelon``
+    with ``held``); its new pivot rows are kept, keyed by lead, and their
+    number is the gain. A step re-reduces only a candidate's kept rows. The
+    gain never grows with the state (rank is submodular) and ties go to the
+    earliest candidate, so a candidate whose stored gain is at most the
+    step's best cannot win and is skipped (Minoux's lazy greedy rule): the
+    flag is the one a full re-reduction at every step gives. A candidate
+    whose covector adds no pivot to the chosen ones is dropped with its rows
+    when next examined; the span only grows, so it could never be picked.
+    Rows are Gaussian-integer pairs; ranks do not depend on row scaling, so
+    every count is exact over Q(i). The chosen covectors span V*, so
     dim A + gains = dim V * dim W.
     """
     n, w = t.dim_V, t.dim_W
@@ -421,7 +392,8 @@ def _greedy_ordering(t: Tableau) -> OrderedBasis:
             covectors.append({i: (1, 0), j: (-1, 0)})
     state = dict(zip(t.basis.pivots, t.basis.rows))
     candidates = [
-        (c, _residuals([{slot * w + ww: v for slot, v in c.items()} for ww in range(w)], state))
+        (c, _echelon([{slot * w + ww: v for slot, v in c.items()} for ww in range(w)],
+                     held=state)[0])
         for c in covectors
     ]
     vstate = {}
@@ -431,19 +403,18 @@ def _greedy_ordering(t: Tableau) -> OrderedBasis:
         for k, (cand, residuals) in enumerate(candidates):
             if len(residuals) <= best_count:
                 continue
-            vrow = dict(cand)
-            vlead = _reduce_lead(vrow, vstate)
-            if vlead is None:
+            vpivot = _echelon([cand], held=vstate)[0]
+            if not vpivot:
                 candidates[k] = (None, {})  # in the chosen span for good
                 continue
-            kept = _residuals(residuals.values(), state)
+            kept = _echelon(residuals.values(), held=state)[0]
             candidates[k] = (cand, kept)
             if len(kept) > best_count:
-                best, best_count, best_vrow = k, len(kept), (vlead, vrow)
+                best, best_count, best_vpivot = k, len(kept), vpivot
         cand, rows = candidates[best]
         candidates = [c for k, c in enumerate(candidates) if c[0] is not None and k != best]
         state.update(rows)
-        vstate[best_vrow[0]] = best_vrow[1]
+        vstate.update(best_vpivot)
         chosen_back.append(cand)
     if len(state) != n * w:
         raise InvariantViolation(f"{t.system} level {t.level}, ordering 'greedy': "

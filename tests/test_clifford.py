@@ -1,9 +1,7 @@
-import random
-
 import pytest
 
-from kdirac.clifford import CliffordRep, RepParams, build_spinor_rep, clifford_apply
-from kdirac.linalg import ExactMatrix, GaussRational, IMAG, ONE, ZERO, InvariantViolation
+from kdirac.clifford import CliffordRep, RepParams, build_spinor_rep
+from kdirac.linalg import ExactMatrix, GaussRational, InvariantViolation
 
 GR = GaussRational
 ALLOWED = {GR(1), GR(-1), GR(0, 1), GR(0, -1)}
@@ -55,43 +53,6 @@ def test_parameter_bounds():
         build_spinor_rep(2)
     with pytest.raises(ValueError):
         RepParams(4, 1)
-
-
-def test_apply_square_is_minus_identity():
-    rng = random.Random(1)
-    rep = build_spinor_rep(5)
-    v = [GR(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rep.s)]
-    for alpha in range(1, 6):
-        w = clifford_apply(rep, alpha, clifford_apply(rep, alpha, v))
-        assert w == [-x for x in v]
-
-
-def test_apply_anticommutation_pattern():
-    rep = build_spinor_rep(4)
-    v = [ONE, ZERO, GR(2), IMAG]
-    for alpha, beta in [(1, 2), (2, 3), (1, 4)]:
-        w = v
-        for idx in (alpha, beta, alpha, beta):
-            w = clifford_apply(rep, idx, w)
-        assert w == [-x for x in v]
-
-
-def test_apply_reproduces_columns():
-    rep = build_spinor_rep(3)
-    for mu in range(rep.s):
-        e = [ONE if i == mu else ZERO for i in range(rep.s)]
-        col = clifford_apply(rep, 1, e)
-        assert col == [rep.gamma[0].entry(nu, mu) for nu in range(rep.s)]
-
-
-def test_apply_index_validation():
-    rep = build_spinor_rep(3)
-    with pytest.raises(ValueError):
-        clifford_apply(rep, 0, [ONE, ZERO])
-    with pytest.raises(ValueError):
-        clifford_apply(rep, 4, [ONE, ZERO])
-    with pytest.raises(ValueError):
-        clifford_apply(rep, 1, [ONE])
 
 
 def test_construction_deterministic():

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from kdirac import euclidean, polynomials
+from kdirac.clifford import build_spinor_rep
 from kdirac.euclidean import (
     build_euclidean,
     chart_ops,
@@ -110,6 +111,28 @@ class TestLevelOne:
     def test_double_prolongation_matches_cubic_space(self, sys32):
         assert len(tensors(sys32.tableau(), 2)) == sys32.monogenic_dim(3) == 32
         assert cubic_dim_formula(3, 2) == 32
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_level1_ordering_is_the_chart(self, n):
+        """Row j of the paper flag is dt_{j+1} in x-coordinates: up to one
+        scale per row, the chart table's coefficients of d/dt_{j+1} in each
+        d/dx_{alpha i}, and nothing else."""
+        sys = euclidean.EuclideanSystem(build_spinor_rep(n, 2))
+        rows = level1_ordering(sys).rows
+        table = euclidean._chart_data(n)[1]
+        scales = [set() for _ in rows]
+        for (a, i), terms in table.items():
+            for j, coeff in terms:
+                scales[j].add(GR(*rows[j][sys.var_index(a, i)]) / coeff)
+        assert [len(scale) for scale in scales] == [1] * 2 * n
+        assert sum(map(len, rows)) == sum(map(len, table.values()))
+
+    def test_level1_ordering_n3(self, sys32):
+        """The paper's flag for n = 3: e1 (x) eps_1, e2 (x) eps_2, then
+        (e1 +- e2) (x) eps_3, e2 (x) eps_1 and e1 (x) eps_2."""
+        one, minus = (1, 0), (-1, 0)
+        assert level1_ordering(sys32).rows == [
+            {0: one}, {3: one}, {4: one, 5: one}, {4: one, 5: minus}, {1: one}, {2: one}]
 
     def test_level1_ordering_requires_k2(self):
         with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from kdirac.linalg import (
     ONE,
     RowFactor,
     SubspaceBasis,
+    _echelon,
     int_kernel_rows,
     int_pivot_cols,
     kernel_rows,
@@ -401,6 +402,22 @@ class TestDenseOracle:
         else:
             solution = {p: from_qqi(reduced[i, limit].element) for i, p in enumerate(pivots)}
             assert factor.solve(x) == {p: v for p, v in solution.items() if v}
+
+
+class TestHeldPivots:
+    @settings(max_examples=60, deadline=None)
+    @given(dense_rows(), st.data())
+    def test_rows_add_the_rank_past_the_held_echelon(self, rows, data):
+        """Rows reduced against held pivots P of H return exactly the rank
+        they add to H, at leads outside P, and change neither P nor the rows."""
+        cut = data.draw(st.integers(0, len(rows)))
+        h, r = rows[:cut], rows[cut:]
+        held = _echelon(h)[0]
+        before = ({c: dict(row) for c, row in held.items()}, [dict(row) for row in rows])
+        pivots = _echelon(r, held=held)[0]
+        assert len(pivots) == len(int_pivot_cols(h + r)) - len(held)
+        assert not set(pivots) & set(held)
+        assert (held, rows) == before
 
 
 def test_kernel_rows_support_validation():

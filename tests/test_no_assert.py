@@ -1,7 +1,8 @@
 """Source hygiene of the package. Broken invariants raise InvariantViolation:
 the package has no ``assert`` statement, which ``python -O`` strips, and
 raises no AssertionError. No module imports a name it never uses, unless the
-import line says ``noqa`` and why."""
+import line says ``noqa`` and why. Forward elimination has one routine,
+``linalg._echelon``: no other module reaches the row update ``_axpy``."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,14 @@ def test_package_has_no_assert_or_assertion_error():
 
 def test_package_imports_only_names_it_uses():
     assert [o for path, text in sources() for o in unused_imports(path, text)] == []
+
+
+def axpy_references(path, text):
+    for node in ast.walk(ast.parse(text, str(path))):
+        if "_axpy" in (getattr(node, field, None) for field in ("id", "attr", "name")):
+            yield f"{path.name}:{node.lineno}: _axpy outside linalg"
+
+
+def test_only_linalg_updates_rows():
+    assert [o for path, text in sources() if path.name != "linalg.py"
+            for o in axpy_references(path, text)] == []

@@ -137,7 +137,7 @@ class TestTableau:
         assert p.rows == e.rows + [{c: (e.den, 0)} for c in skew]
 
     def test_prolongation_dimension(self, psys32):
-        assert prolong(psys32.tableau()).dim == 28
+        assert prolong(psys32.tableau()).lifted.dim == 28
         assert level0_prolongation_formula(3, 2, 2) == 28
 
     def test_level0_report(self, psys32):
