@@ -14,11 +14,11 @@ eigenspaces are the two half-spinor summands, each of dimension s/2.
 
 from dataclasses import dataclass
 
-from .linalg import ExactMatrix, GaussRational, IMAG, ONE, InvariantViolation, _ints
+from .linalg import ExactMatrix, IMAG, ONE, InvariantViolation, _ints
 
-_PAULI_X = ExactMatrix.from_rows([[0, 1], [1, 0]])
-_PAULI_Y = ExactMatrix.from_rows([[0, GaussRational(0, -1)], [GaussRational(0, 1), 0]])
-_PAULI_Z = ExactMatrix.from_rows([[1, 0], [0, -1]])
+_PAULI_X = ExactMatrix(2, 2, {(0, 1): 1, (1, 0): 1})
+_PAULI_Y = ExactMatrix(2, 2, {(0, 1): -IMAG, (1, 0): IMAG})
+_PAULI_Z = ExactMatrix(2, 2, {(0, 0): 1, (1, 1): -1})
 _ID2 = ExactMatrix.identity(2)
 
 
@@ -134,7 +134,7 @@ class CliffordRep:
         if self.chirality is None:
             raise ValueError("chirality exists only for even n")
         s = self.s
-        plus = sum(1 for i in range(s) if self.chirality.entry(i, i) == ONE)
+        plus = sum(1 for i in range(s) if self.chirality.entries.get((i, i)) == ONE)
         return plus, s - plus
 
 

@@ -14,13 +14,13 @@ the elimination.
 One kernel, ``_echelon``, eliminates: it takes the rows one at a time and
 reduces each, fraction free (cross-multiplication updates plus content
 stripping), against any ``held`` rows, which it never changes, then the rows
-kept so far, keyed by leading column. ``SubspaceBasis.contains`` holds its
-basis and the greedy flag search in ``tableau`` its state, so a reduction
-returns only the new pivots, the rank added. Of two rows leading at one
-column it keeps the one with the smaller lead |re| + |im|, then the fewer
-entries (a local Markowitz-style rule), which keeps fill and entry growth low
-on the sparse symbol matrices built elsewhere in this package and on the dense
-rows of random flags. ``int_pivot_cols`` reads the column rank profile off its
+kept so far, keyed by leading column. The greedy flag search in ``tableau``
+holds its state that way, so a reduction returns only the new pivots, the
+rank added. Of two rows leading at one column it keeps the one with the
+smaller lead |re| + |im|, then the fewer entries (a local Markowitz-style
+rule), which keeps fill and entry growth low on the sparse symbol matrices
+built elsewhere in this package and on the dense rows of random flags.
+``int_pivot_cols`` reads the column rank profile off its
 leads; ``_rref`` back-substitutes its rows into the canonical reduced echelon
 form, behind ``int_kernel_rows`` (the kernel) and :class:`RowFactor` (one
 matrix reduced once for many data).
@@ -31,9 +31,12 @@ produce bit-identical bases.
 :class:`GaussRational` is the API edge: :class:`ExactMatrix`,
 ``SubspaceBasis.vectors`` and the thin conversions ``to_int_rows``,
 ``rref_rows``, ``rank_rows``, ``kernel_rows`` and ``solve_rows``. The last
-four stay public because ``bench/tracing.py`` wraps them by name. Flags of
-V* do not pass through :class:`ExactMatrix`: ``tableau.OrderedBasis``
-keeps its covectors as Gaussian-integer pair rows.
+four stay public because ``bench/tracing.py`` wraps them by name.
+:class:`ExactMatrix` is the record of a matrix acting on spinors (a Clifford
+generator, the chirality, the matrix of an operator term): its shape and its
+sparse entries, with no arithmetic. Products of spinor matrices are taken on
+Gaussian integers where they are checked (``CliffordRep.verify``), and flags
+of V* are Gaussian-integer pair rows (``tableau.OrderedBasis``).
 """
 
 from fractions import Fraction
@@ -143,7 +146,9 @@ IMAG = GaussRational(0, 1)
 
 
 class ExactMatrix:
-    """Sparse exact matrix; absent entries are zero, stored entries never zero."""
+    """A spinor matrix as a record: ``rows`` x ``cols`` with sparse
+    ``entries`` (row, col) -> GaussRational; absent entries are zero, stored
+    entries never zero. Readers take ``entries`` directly."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -162,67 +167,13 @@ class ExactMatrix:
         self.entries = clean
 
     @classmethod
-    def from_rows(cls, data: Sequence[Sequence]) -> "ExactMatrix":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(data):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for c, v in enumerate(row):
-                if not isinstance(v, GaussRational):
-                    v = GaussRational(v)
-                if v:
-                    entries[(r, c)] = v
-        return cls(rows, cols, entries)
-
-    @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
         return cls(n, n, {(i, i): ONE for i in range(n)})
-
-    def entry(self, r: int, c: int) -> GaussRational:
-        return self.entries.get((r, c), ZERO)
-
-    def row_dicts(self) -> list:
-        out = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
-    def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        other_rows = other.row_dicts()
-        acc = {}
-        for (r, c), v in self.entries.items():
-            for c2, w in other_rows[c].items():
-                key = (r, c2)
-                cur = acc.get(key)
-                acc[key] = v * w if cur is None else cur + v * w
-        return ExactMatrix(self.rows, other.cols, acc)
 
     def scaled(self, factor) -> "ExactMatrix":
         return ExactMatrix(
             self.rows, self.cols, {k: v * factor for k, v in self.entries.items()}
         )
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        acc = dict(self.entries)
-        for k, v in other.entries.items():
-            acc[k] = acc[k] + v if k in acc else v
-        return ExactMatrix(self.rows, self.cols, acc)  # drops cancelled entries
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExactMatrix)
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.entries == other.entries
-        )
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
@@ -339,11 +290,11 @@ def _echelon(int_rows: Iterable[dict], limit=None, held=None):
 
     Returns (pivots, rest): ``pivots`` maps each new lead column before
     ``limit`` to the one kept row leading there, ``rest`` lists the nonzero
-    remainders leading at or past it. ``held`` (a basis in ``contains``, the
-    greedy flag search's state) maps lead columns to rows in echelon form that
-    are never changed, swapped out or returned: a row is reduced against them
-    first, so ``pivots`` holds only the leads the rows add. Each row is
-    reduced until its lead is new; when two kept rows lead at one column the
+    remainders leading at or past it. ``held`` (the greedy flag search's
+    state) maps lead columns to rows in echelon form that are never changed,
+    swapped out or returned: a row is reduced against them first, so
+    ``pivots`` holds only the leads the rows add. Each row is reduced until
+    its lead is new; when two kept rows lead at one column the
     one with the smaller lead |re| + |im|, then the fewer entries, is kept and
     the other is reduced by it, which keeps entries small on dense rows. A row
     is copied before its first update, so the input rows are never changed; a
@@ -574,10 +525,6 @@ class SubspaceBasis:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def contains(self, vector) -> bool:
-        vec = to_int_rows([_as_sparse_vec(vector)])[0]
-        return not _echelon([vec], held=dict(zip(self.pivots, self.rows)))[0]
 
     def __eq__(self, other):
         return (

@@ -120,6 +120,8 @@ class SpinorPoly:
         for (exps, mu), v in items:
             if len(exps) != len(vars):
                 raise ValueError("exponent vector has wrong length")
+            if exps and min(exps) < 0:
+                raise ValueError(f"negative exponent in {tuple(exps)}")
             if not 0 <= mu < spinor_dim:
                 raise ValueError("spinor index out of range")
             if not isinstance(v, GaussRational):
@@ -225,6 +227,9 @@ class DiffOp:
             if matrix.rows != spinor_dim or matrix.cols != spinor_dim:
                 raise ValueError("matrix size must match the spinor dimension")
             for cexp, cval in coeff.items():
+                if len(cexp) != len(vars) or (cexp and min(cexp) < 0):
+                    raise ValueError(f"coefficient exponents {tuple(cexp)} are not"
+                                     f" {len(vars)} nonnegative integers")
                 for (nu, mu), mval in matrix.entries.items():
                     key = (var, tuple(cexp), mu, nu)
                     products[key] = products.get(key, ZERO) + mval * cval

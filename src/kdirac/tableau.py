@@ -425,17 +425,15 @@ def _greedy_ordering(t: Tableau) -> OrderedBasis:
 def search_ordering(t: Tableau, strategy: str, seed: int = None) -> OrderedBasis:
     """Produce an ordered basis of V* for the Cartan filtration.
 
-    ``given``: the identity ordering. ``greedy``: deterministic search over
-    coordinate covectors and their pairwise combinations, maximising each
-    successive character. ``random``: reproducible invertible matrix with
-    small integer entries drawn from the seeded generator, the one strategy
-    that takes a seed.
+    ``greedy``: deterministic search over coordinate covectors and their
+    pairwise combinations, maximising each successive character. ``random``:
+    reproducible invertible matrix with small integer entries drawn from the
+    seeded generator, the one strategy that takes a seed. The identity
+    ordering is ``OrderedBasis.identity``, ``cartan_test``'s default.
     """
-    if strategy in ("given", "greedy") and seed is not None:
-        raise ValueError(f"ordering strategy {strategy!r} takes no seed, got {seed!r}")
-    if strategy == "given":
-        return OrderedBasis.identity(t.dim_V)
     if strategy == "greedy":
+        if seed is not None:
+            raise ValueError(f"ordering strategy 'greedy' takes no seed, got {seed!r}")
         return _greedy_ordering(t)
     if strategy == "random":
         if seed is None:

@@ -3,10 +3,12 @@ dim V = prod <rho+lambda, alpha> / prod <rho, alpha> over the positive roots,
 plus the table of irreducible constituents of the cubic solution slice that
 cross-checks the linear-algebra counts.
 
-Weights are coordinate vectors paired with the standard Euclidean product;
-half-integers are exact Fractions. Type D is kept formal down to rank 2
-(where it degenerates to two copies of type A_1), which is exactly the case
-the four-dimensional special table row needs.
+A :class:`RootSystem` is its positive roots and rho, the half sum of them.
+A highest weight is a plain tuple of coordinates (ints, or Fractions for
+half-integers) paired with the roots by the standard Euclidean product; it
+is dominant when that pairing is nonnegative on every positive root. Type D
+is kept formal down to rank 2 (where it degenerates to two copies of type
+A_1), which is exactly the case the four-dimensional special table row needs.
 """
 
 from dataclasses import dataclass
@@ -15,8 +17,6 @@ from fractions import Fraction
 
 @dataclass(frozen=True)
 class RootSystem:
-    family: str
-    rank: int
     positive_roots: tuple
     rho: tuple
 
@@ -53,19 +53,7 @@ class RootSystem:
         rho = tuple(
             sum((r[c] for r in roots), Fraction(0)) / 2 for c in range(dim)
         )
-        return cls(family, rank, roots, rho)
-
-    def simple_roots(self):
-        dim = len(self.rho)
-        if self.family == "A":
-            return [_unit(dim, i, 1, i + 1, -1) for i in range(dim - 1)]
-        if self.family == "B":
-            simple = [_unit(dim, i, 1, i + 1, -1) for i in range(dim - 1)]
-            simple.append(_unit(dim, dim - 1, 1))
-            return simple
-        simple = [_unit(dim, i, 1, i + 1, -1) for i in range(dim - 1)]
-        simple.append(_unit(dim, dim - 2, 1, dim - 1, 1))
-        return simple
+        return cls(roots, rho)
 
 
 def _unit(dim, i, vi, j=None, vj=None):
@@ -76,26 +64,18 @@ def _unit(dim, i, vi, j=None, vj=None):
     return tuple(v)
 
 
-@dataclass(frozen=True)
-class HighestWeight:
-    coords: tuple
-
-    @classmethod
-    def of(cls, *coords) -> "HighestWeight":
-        return cls(tuple(Fraction(c) for c in coords))
-
-
 def _pair(a, b):
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def weyl_dim(rs: RootSystem, weight: HighestWeight) -> int:
-    """Exact dimension of the irreducible module with the given highest
-    weight; non-dominant weights are rejected."""
-    lam = weight.coords
+def weyl_dim(rs: RootSystem, lam: tuple) -> int:
+    """Exact dimension of the irreducible module with highest weight ``lam``,
+    a tuple of ints or Fractions; non-dominant weights are rejected. Every
+    positive root is a nonnegative sum of simple roots, so pairing
+    nonnegatively with the positive roots is dominance."""
     if len(lam) != len(rs.rho):
         raise ValueError("weight length does not match the root system")
-    for alpha in rs.simple_roots():
+    for alpha in rs.positive_roots:
         if _pair(lam, alpha) < 0:
             raise ValueError(f"weight {lam} is not dominant")
     num = Fraction(1)
@@ -112,7 +92,7 @@ def weyl_dim(rs: RootSystem, weight: HighestWeight) -> int:
 
 def _sl2_dim(d: int) -> int:
     """dim S^d of the defining representation of sl(2)."""
-    return weyl_dim(RootSystem.make("A", 1), HighestWeight.of(d, 0))
+    return weyl_dim(RootSystem.make("A", 1), (d, 0))
 
 
 def so_factor_dim(n: int, head) -> int:
@@ -124,11 +104,11 @@ def so_factor_dim(n: int, head) -> int:
     lead = [Fraction(c) + half for c in head]
     pad = [half] * (m - len(head))
     if n % 2 == 1:
-        return weyl_dim(RootSystem.make("B", m), HighestWeight(tuple(lead + pad)))
+        return weyl_dim(RootSystem.make("B", m), tuple(lead + pad))
     rs = RootSystem.make("D", m)
     plus = tuple(lead + pad)
     minus = tuple(lead + pad[:-1] + [-half])
-    return weyl_dim(rs, HighestWeight(plus)) + weyl_dim(rs, HighestWeight(minus))
+    return weyl_dim(rs, plus) + weyl_dim(rs, minus)
 
 
 def module_table(n: int):
@@ -144,8 +124,8 @@ def module_table(n: int):
     if n == 4:
         a1 = RootSystem.make("A", 1)
         special = _sl2_dim(1) * (
-            weyl_dim(a1, HighestWeight.of(1, 0)) * weyl_dim(a1, HighestWeight.of(4, 0))
-            + weyl_dim(a1, HighestWeight.of(4, 0)) * weyl_dim(a1, HighestWeight.of(1, 0))
+            weyl_dim(a1, (1, 0)) * weyl_dim(a1, (4, 0))
+            + weyl_dim(a1, (4, 0)) * weyl_dim(a1, (1, 0))
         )
         rows.append(("(E cp L2E) x (C2 S4C2 + S4C2 C2)", special))
     elif n >= 5:
@@ -160,4 +140,4 @@ def half_spin_dim(n: int) -> int:
     m = n // 2
     half = Fraction(1, 2)
     rs = RootSystem.make("D", m)
-    return weyl_dim(rs, HighestWeight((half,) * m))
+    return weyl_dim(rs, (half,) * m)

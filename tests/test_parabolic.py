@@ -93,7 +93,7 @@ class TestFields:
 
             def field_terms(self, alpha, i, matrix):
                 terms = original(self, alpha, i, matrix)
-                if (alpha, i) != (1, 1) or matrix != ExactMatrix.identity(self.s):
+                if (alpha, i) != (1, 1) or matrix.entries != ExactMatrix.identity(self.s).entries:
                     return terms
                 if fault == "y-term dropped":
                     return terms[:-1]

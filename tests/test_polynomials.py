@@ -282,3 +282,22 @@ def test_spinor_poly_substitution():
     p = SpinorPoly(vs, 2, {((1, 1, 0, 0, 0, 0), 0): GR(2), ((0, 0, 2, 0, 0, 0), 1): GR(3)})
     q = p.substitute_zero([0, 1])
     assert q.coeffs == {((0, 0, 2, 0, 0, 0), 1): GR(3)}
+
+
+class TestMalformedExponents:
+    """Bad exponents fail when the operator or polynomial is built."""
+
+    def test_op_coefficient_of_the_wrong_length(self):
+        vs = VariableSet.of(["a", "b", "c"])
+        with pytest.raises(ValueError, match="3 nonnegative"):
+            DiffOp(vs, 1, [({(0, 0): GR(1)}, 0, ExactMatrix.identity(1))])
+
+    def test_op_coefficient_with_a_negative_exponent(self):
+        vs = VariableSet.of(["a", "b"])
+        with pytest.raises(ValueError, match="nonnegative"):
+            DiffOp(vs, 1, [({(-1, 0): GR(1)}, 0, ExactMatrix.identity(1))])
+
+    def test_poly_with_a_negative_exponent(self):
+        vs = VariableSet.of(["a"])
+        with pytest.raises(ValueError, match="negative exponent"):
+            SpinorPoly.monomial(vs, 1, (-1,), 0)

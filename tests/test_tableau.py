@@ -79,7 +79,7 @@ class TestProlong:
                     val = vec.get(pos[tuple(sorted((i, j)))] * t.dim_W + w)
                     if val is not None:
                         slice_vec[j * t.dim_W + w] = GR(*val)
-                assert t.basis.contains(slice_vec)
+                assert len(int_pivot_cols(t.basis.rows + to_int_rows([slice_vec]))) == t.dim
 
     @pytest.mark.parametrize("build, expected", [(build_euclidean, 32), (build_parabolic, 60)],
                              ids=["e(3,2)", "p(3,2)"])
@@ -339,11 +339,6 @@ class TestH02:
 
 
 class TestSearchOrdering:
-    def test_given_is_identity(self):
-        t = Tableau.full(3, 1)
-        ob = search_ordering(t, "given")
-        assert ob.rows == [{i: (1, 0)} for i in range(3)]
-
     def test_random_reproducible(self):
         t = Tableau.full(4, 1)
         a = search_ordering(t, "random", seed=1)
@@ -378,10 +373,9 @@ class TestSearchOrdering:
         # any permutation gives the same characters on the full tableau
         assert cartan_test(t, ob).characters == cartan_test(t).characters
 
-    @pytest.mark.parametrize("strategy", ["given", "greedy"])
-    def test_seed_without_use_is_refused(self, strategy):
+    def test_seed_without_use_is_refused(self):
         with pytest.raises(ValueError, match="takes no seed"):
-            search_ordering(Tableau.full(2, 1), strategy, seed=1)
+            search_ordering(Tableau.full(2, 1), "greedy", seed=1)
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):

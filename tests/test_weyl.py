@@ -5,7 +5,6 @@ import pytest
 from kdirac.clifford import build_spinor_rep
 from kdirac.euclidean import build_euclidean, cubic_dim_formula
 from kdirac.weyl import (
-    HighestWeight,
     RootSystem,
     half_spin_dim,
     module_table,
@@ -40,41 +39,45 @@ class TestRootSystems:
 class TestWeylDim:
     def test_trivial_weight(self):
         for rs in (RootSystem.make("A", 2), RootSystem.make("B", 2), RootSystem.make("D", 3)):
-            zero = HighestWeight.of(*([0] * len(rs.rho)))
+            zero = (0,) * len(rs.rho)
             assert weyl_dim(rs, zero) == 1
 
     def test_sl2_symmetric_powers(self):
         a1 = RootSystem.make("A", 1)
         for d in range(6):
-            assert weyl_dim(a1, HighestWeight.of(d, 0)) == d + 1
+            assert weyl_dim(a1, (d, 0)) == d + 1
 
     def test_non_dominant_rejected(self):
-        a1 = RootSystem.make("A", 1)
-        with pytest.raises(ValueError):
-            weyl_dim(a1, HighestWeight.of(0, 1))
+        # (1/2, -1/2) is the minus half-spin weight of D_2 but pairs to -1/2
+        # with the short root e2 of B_2; (1, 1, -2) pairs to -1 with e2 + e3
+        for family, rank, lam in [("A", 1, (0, 1)), ("B", 2, (HALF, -HALF)),
+                                  ("D", 3, (1, 1, -2))]:
+            with pytest.raises(ValueError, match="not dominant"):
+                weyl_dim(RootSystem.make(family, rank), lam)
+        assert weyl_dim(RootSystem.make("D", 2), (HALF, -HALF)) == 2
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_cubic_weight_type_d(self, m):
         rs = RootSystem.make("D", m)
-        lam = HighestWeight((Fraction(7, 2),) + (HALF,) * (m - 1))
+        lam = (Fraction(7, 2),) + (HALF,) * (m - 1)
         assert weyl_dim(rs, lam) == 2 ** (m - 2) * (2 * m + 1) * 2 * m * (2 * m - 1) // 3
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_mixed_weight_type_d(self, m):
         rs = RootSystem.make("D", m)
-        lam = HighestWeight((Fraction(5, 2), Fraction(3, 2)) + (HALF,) * (m - 2))
+        lam = (Fraction(5, 2), Fraction(3, 2)) + (HALF,) * (m - 2)
         assert weyl_dim(rs, lam) == (2 * m + 1) * (2 * m - 1) * (2 * m - 3) * 2 ** (m - 1) // 3
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_cubic_weight_type_b(self, m):
         rs = RootSystem.make("B", m)
-        lam = HighestWeight((Fraction(7, 2),) + (HALF,) * (m - 1))
+        lam = (Fraction(7, 2),) + (HALF,) * (m - 1)
         assert weyl_dim(rs, lam) == 2**m * (2 * m + 2) * (2 * m + 1) * 2 * m // 6
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_mixed_weight_type_b(self, m):
         rs = RootSystem.make("B", m)
-        lam = HighestWeight((Fraction(5, 2), Fraction(3, 2)) + (HALF,) * (m - 2))
+        lam = (Fraction(5, 2), Fraction(3, 2)) + (HALF,) * (m - 2)
         assert weyl_dim(rs, lam) == (m + 1) * m * (m - 1) * 2 ** (m + 3) // 3
 
 
