@@ -9,10 +9,10 @@ therefore a signed permutation matrix, which the symbol assembly downstream
 relies on for sparsity.
 
 For even n the construction also yields the chirality operator whose +1/-1
-eigenspaces are the two half-spinor summands, each of dimension s/2.
+eigenspaces are the two half-spinor summands, each of dimension s/2. The
+representation depends on n alone; the number k of slots belongs to the
+system built on it.
 """
-
-from dataclasses import dataclass
 
 from .linalg import ExactMatrix, IMAG, ONE, InvariantViolation, _ints
 
@@ -20,30 +20,6 @@ _PAULI_X = ExactMatrix(2, 2, {(0, 1): 1, (1, 0): 1})
 _PAULI_Y = ExactMatrix(2, 2, {(0, 1): -IMAG, (1, 0): IMAG})
 _PAULI_Z = ExactMatrix(2, 2, {(0, 0): 1, (1, 1): -1})
 _ID2 = ExactMatrix.identity(2)
-
-
-@dataclass(frozen=True)
-class RepParams:
-    """Size bookkeeping for a spinor representation: n >= 3 generators acting
-    on spinors of dimension s = 2^m with m = floor(n/2); k >= 2 is the number
-    of operator slots of the system the representation will serve."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError(f"n must be at least 3, got {self.n}")
-        if self.k < 2:
-            raise ValueError(f"k must be at least 2, got {self.k}")
-
-    @property
-    def m(self) -> int:
-        return self.n // 2
-
-    @property
-    def s(self) -> int:
-        return 1 << self.m
 
 
 def _kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -79,22 +55,16 @@ def int_anticommutator(a, b) -> dict:
 class CliffordRep:
     """Generators of the Clifford action on the spinor space.
 
+    ``n`` generators act on spinors of dimension ``s = 2^floor(n/2)``;
     ``gamma[alpha]`` (0-based list) is the matrix of the alpha-th generator;
     ``chirality`` is present exactly when n is even.
     """
 
-    def __init__(self, params: RepParams, gamma, chirality):
-        self.params = params
+    def __init__(self, n: int, gamma, chirality):
+        self.n = n
+        self.s = 1 << (n // 2)
         self.gamma = gamma
         self.chirality = chirality
-
-    @property
-    def n(self) -> int:
-        return self.params.n
-
-    @property
-    def s(self) -> int:
-        return self.params.s
 
     def verify(self) -> None:
         """Check the defining relation and, for even n, the chirality split;
@@ -138,14 +108,15 @@ class CliffordRep:
         return plus, s - plus
 
 
-def build_spinor_rep(n: int, k: int = 2) -> CliffordRep:
-    """Deterministically construct the spinor representation for R^n.
+def build_spinor_rep(n: int) -> CliffordRep:
+    """Deterministically construct the spinor representation for R^n, n >= 3.
 
     All generator entries lie in {0, +-1, +-i}; the defining relation is
     verified before the representation is returned.
     """
-    params = RepParams(n, k)
-    m = params.m
+    if n < 3:
+        raise ValueError(f"n must be at least 3, got {n}")
+    m = n // 2
     hermitian = []
     for a in range(m):
         pre = [_PAULI_Z] * a
@@ -156,6 +127,6 @@ def build_spinor_rep(n: int, k: int = 2) -> CliffordRep:
         hermitian.append(_kron_chain([_PAULI_Z] * m))
     gamma = [g.scaled(IMAG) for g in hermitian[:n]]
     chirality = _kron_chain([_PAULI_Z] * m) if n % 2 == 0 else None
-    rep = CliffordRep(params, gamma, chirality)
+    rep = CliffordRep(n, gamma, chirality)
     rep.verify()
     return rep

@@ -17,7 +17,7 @@ Variable and coordinate conventions, fixed once for reproducibility:
 from functools import lru_cache
 from math import comb
 
-from .clifford import CliffordRep, build_spinor_rep
+from .clifford import build_spinor_rep
 from .linalg import GaussRational, InvariantViolation, _projected_ranks, to_int_rows
 from .polynomials import (
     DiffOp,
@@ -36,23 +36,13 @@ HALF = GaussRational("1/2")
 
 
 class EuclideanSystem(SlotSystem):
-    """The k first-order slot operators sum_alpha gamma_alpha d/dx_{alpha i}.
-    Their coefficients are all constant, so every term enters the symbol
-    tableau. The ``solve_correction`` memo serves the chart operators'
+    """The k-Dirac system on n x k matrix space, with the default field
+    d/dx_{alpha i}. Every coefficient is constant, so every term enters the
+    symbol tableau. The ``solve_correction`` memo serves the chart operators'
     extensions."""
 
     prefix = "e"
-
-    def __init__(self, rep: CliffordRep):
-        n, k = rep.params.n, rep.params.k
-        names = [f"x_{a}_{i}" for a in range(1, n + 1) for i in range(1, k + 1)]
-        super().__init__(rep, VariableSet.of(names))
-        one = {self.vars.zero_exponents(): GaussRational(1)}
-        self.ops = [
-            DiffOp(self.vars, rep.s, [(one, a * k + i, rep.gamma[a]) for a in range(n)])
-            for i in range(k)
-        ]
-        self._chart_ops = None
+    _chart_ops = None  # built on first use by chart_ops
 
     def monogenic_polynomials(self, degree: int):
         return basis_polynomials(self.vars, self.s, degree, self.monogenic_space(degree))
@@ -60,7 +50,7 @@ class EuclideanSystem(SlotSystem):
 
 def build_euclidean(n: int, k: int) -> EuclideanSystem:
     """Build the system and check the symbol-kernel dimension k s (n-1)."""
-    sys = EuclideanSystem(build_spinor_rep(n, k))
+    sys = EuclideanSystem(build_spinor_rep(n), k)
     expected = k * sys.s * (n - 1)
     got = sys.tableau().dim
     if got != expected:
@@ -301,15 +291,7 @@ def restriction_commutator_check(sys: EuclideanSystem, psi: SpinorPoly) -> bool:
             raise ValueError("input spinor is not monogenic")
     n, k = sys.n, sys.k
     restricted = psi.substitute_zero([sys.var_index(1, i) for i in range(1, k + 1)])
-    one = {(0,) * (n * k): GaussRational(1)}
-    truncated = [
-        DiffOp(
-            sys.vars,
-            sys.s,
-            [(one, sys.var_index(a, i), sys.rep.gamma[a - 1]) for a in range(2, n + 1)],
-        )
-        for i in range(1, k + 1)
-    ]
+    truncated = [sys._slot_op(i, range(2, n + 1)) for i in range(1, k + 1)]
     for i in range(k):
         for j in range(i + 1, k):
             forward = apply_op(truncated[i], apply_op(truncated[j], restricted))

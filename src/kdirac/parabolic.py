@@ -38,7 +38,6 @@ from .polynomials import (
     DiffOp,
     SlotSystem,
     SpinorPoly,
-    VariableSet,
     apply_op,
     monomial_basis,
     scalar_multiply,
@@ -48,52 +47,38 @@ from .tableau import OrderedBasis, cartan_test, multisets, prolong, search_order
 
 
 class ParabolicSystem(SlotSystem):
-    """Left-invariant fields and slot operators on the extended space. The
-    ``solve_correction`` memo serves the lifts."""
+    """The k-Dirac system on the extended space: the y_{r t} follow the matrix
+    block with weight 2, and the field is L_{alpha i} (``lfields``, in
+    ``var_index`` order). The ``solve_correction`` memo serves the lifts."""
 
     prefix = "p"
+    _euclidean = None  # the matrix-space system, built on first use by euclidean
 
-    def __init__(self, rep: CliffordRep):
-        n, k, s = rep.params.n, rep.params.k, rep.params.s
+    def __init__(self, rep: CliffordRep, k: int):
         self.y_pairs = [(r, t) for r in range(1, k + 1) for t in range(r + 1, k + 1)]
-        names = [f"x_{a}_{i}" for a in range(1, n + 1) for i in range(1, k + 1)]
-        names += [f"y_{r}_{t}" for r, t in self.y_pairs]
-        weights = [1] * (n * k) + [2] * len(self.y_pairs)
-        super().__init__(rep, VariableSet.of(names, weights))
-        ident = ExactMatrix.identity(s)
-        self.lfields = [
-            DiffOp(self.vars, s, self._field_terms(a, i, ident))
-            for a in range(1, n + 1)
-            for i in range(1, k + 1)
-        ]
-        self.ops = [self._slot_op(i) for i in range(1, k + 1)]
-        self._euclidean = None
+        super().__init__(rep, k, [(f"y_{r}_{t}", 2) for r, t in self.y_pairs])
+        ident = ExactMatrix.identity(self.s)
+        self.lfields = [DiffOp(self.vars, self.s, self._field_terms(a, i, ident))
+                        for a in range(1, self.n + 1) for i in range(1, k + 1)]
 
     def y_index(self, r: int, t: int) -> int:
+        """0-based coordinate index of y_{r t} (1-based labels)."""
+        if not 1 <= r < t <= self.k:
+            raise ValueError(f"skew labels ({r}, {t}) out of range 1 <= r < t <= {self.k}")
         return self.n * self.k + self.y_pairs.index((r, t))
 
     def _field_terms(self, alpha: int, i: int, matrix):
         """Terms of L_{alpha i} followed by ``matrix``: d/dx_{alpha i} and
         -1/2 sum_j x_{alpha j} d_{i j}, with the sign of the skew derivative
         resolved onto the stored coordinates y_{r t}, r < t."""
-        terms = [({self.vars.zero_exponents(): GaussRational(1)}, self.var_index(alpha, i), matrix)]
+        terms = super()._field_terms(alpha, i, matrix)
         for j in range(1, self.k + 1):
-            if j == i:
-                continue
-            exp = list(self.vars.zero_exponents())
-            exp[self.var_index(alpha, j)] = 1
-            if i < j:
-                terms.append(({tuple(exp): -HALF}, self.y_index(i, j), matrix))
-            else:
-                terms.append(({tuple(exp): HALF}, self.y_index(j, i), matrix))
+            if j != i:
+                exp = list(self.vars.zero_exponents())
+                exp[self.var_index(alpha, j)] = 1
+                terms.append(({tuple(exp): -HALF if i < j else HALF},
+                              self.y_index(min(i, j), max(i, j)), matrix))
         return terms
-
-    def _slot_op(self, i):
-        """The slot operator sum_alpha gamma_alpha L_{alpha i}."""
-        terms = []
-        for alpha in range(1, self.n + 1):
-            terms += self._field_terms(alpha, i, self.rep.gamma[alpha - 1])
-        return DiffOp(self.vars, self.s, terms)
 
     def lfield(self, alpha: int, i: int) -> DiffOp:
         return self.lfields[self.var_index(alpha, i)]
@@ -108,7 +93,7 @@ class ParabolicSystem(SlotSystem):
 
     def euclidean(self) -> EuclideanSystem:
         if self._euclidean is None:
-            self._euclidean = EuclideanSystem(self.rep)
+            self._euclidean = EuclideanSystem(self.rep, self.k)
         return self._euclidean
 
     def embed_euclidean_poly(self, psi: SpinorPoly) -> SpinorPoly:
@@ -127,7 +112,7 @@ class ParabolicSystem(SlotSystem):
 def build_parabolic(n: int, k: int) -> ParabolicSystem:
     """Build the system; the bracket identity and the tableau dimension are
     verified before returning."""
-    sys = ParabolicSystem(build_spinor_rep(n, k))
+    sys = ParabolicSystem(build_spinor_rep(n), k)
     check_bracket_identity(sys)
     expected = k * (n - 1) * sys.s + comb(k, 2) * sys.s
     got = sys.tableau().dim

@@ -11,9 +11,10 @@ A differential operator is a sum of terms (coefficient polynomial) *
 weighted degree by a fixed amount; ``solution_space`` exploits that to reduce
 "all weighted-degree-r solutions" to one exact kernel computation.
 
-A :class:`SlotSystem` is k such slot operators on a variable set: it reads
-its symbol tableau off the operators' constant-coefficient terms and keeps
-the memos of its solution slices and of ``solve_correction``.
+A :class:`SlotSystem` builds both k-Dirac systems: the variables and the k
+slot operators sum_alpha gamma_alpha F_{alpha i}, the field F read from one
+hook. It reads its symbol tableau off the operators' constant-coefficient
+terms and keeps the memos of its solution slices and of ``solve_correction``.
 
 Coefficients are GaussRational at the interface. Inside, each operator keeps
 one term table of Gaussian-integer pairs over one denominator: ``apply_op``
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 
 from .linalg import (
     GaussRational,
+    ONE,
     RowFactor,
     SubspaceBasis,
     ZERO,
@@ -191,11 +193,19 @@ class SpinorPoly:
             raise ValueError("incompatible polynomial spaces")
 
 
+def _require_exponents(what: str, exps, vars: VariableSet) -> None:
+    """Refuse an exponent tuple that is not len(vars) nonnegative integers."""
+    if len(exps) != len(vars) or (exps and min(exps) < 0):
+        raise ValueError(f"{what} exponents {tuple(exps)} are not"
+                         f" {len(vars)} nonnegative integers")
+
+
 def scalar_multiply(poly: Mapping, psi: SpinorPoly) -> SpinorPoly:
     """Multiply a spinor polynomial by a scalar polynomial given as a sparse
     map from exponent tuples to coefficients."""
     acc = {}
     for pexp, pval in poly.items():
+        _require_exponents("scalar", pexp, psi.vars)
         if not isinstance(pval, GaussRational):
             pval = GaussRational(pval)
         for (exps, mu), v in psi.coeffs.items():
@@ -227,9 +237,7 @@ class DiffOp:
             if matrix.rows != spinor_dim or matrix.cols != spinor_dim:
                 raise ValueError("matrix size must match the spinor dimension")
             for cexp, cval in coeff.items():
-                if len(cexp) != len(vars) or (cexp and min(cexp) < 0):
-                    raise ValueError(f"coefficient exponents {tuple(cexp)} are not"
-                                     f" {len(vars)} nonnegative integers")
+                _require_exponents("coefficient", cexp, vars)
                 for (nu, mu), mval in matrix.entries.items():
                     key = (var, tuple(cexp), mu, nu)
                     products[key] = products.get(key, ZERO) + mval * cval
@@ -383,12 +391,12 @@ def solve_correction(
 
     ``factors`` is the caller's memo for this list of ops (a system keeps
     one), keyed by (degree, tuple(unknown)). Its entry is built once: the
-    unknown monomials are checked to be of the degree, the coefficient matrix
-    over all monomials of the degree, unknown ones first, is reduced into a
-    :class:`RowFactor`, and ``col_of`` indexes those monomials. A hit means
-    the same unknown list was already checked, so one datum costs mapping
-    ``base`` through ``col_of`` (a monomial missing from it, or indexed among
-    the unknowns, raises ValueError) and one ``RowFactor.solve``.
+    unknown monomials are checked to be exponent tuples of the degree, the
+    coefficient matrix over all monomials of the degree, unknown ones first,
+    is reduced into a :class:`RowFactor`, and ``col_of`` indexes them. A hit
+    means the same unknown list was already checked, so one datum costs
+    mapping ``base`` through ``col_of`` (a monomial missing from it, or
+    indexed among the unknowns, raises ValueError) and one ``RowFactor.solve``.
 
     Returns (h, rank): h is a particular solution (free coordinates zero) or
     None when none exists, and rank is that of the unknown block, so the
@@ -400,6 +408,8 @@ def solve_correction(
     degree = vars.weighted_degree(next(iter(base.coeffs))[0] if base.coeffs else unknown[0])
     key = (degree, tuple(unknown))
     if key not in factors:
+        for e in unknown:
+            _require_exponents("unknown", e, vars)
         if any(vars.weighted_degree(e) != degree for e in unknown):
             raise ValueError(_APART)
         skip = set(unknown)
@@ -435,33 +445,36 @@ def basis_polynomials(vars: VariableSet, spinor_dim: int, weighted_degree: int, 
 
 
 class SlotSystem:
-    """The k slot operators ``ops`` of a k-Dirac system on ``vars``; a
-    subclass sets ``ops`` after this constructor. V*-coordinates follow
-    ``vars``: the matrix block x_{alpha i} alpha-major, then any others.
-    A subclass's ``prefix`` names the system in failure messages, as in
-    "e(3,2)".
+    """The k-Dirac system of ``rep`` with k >= 2 slots. ``vars`` (and the
+    V*-coordinates) are the matrix block x_{alpha i} of weight 1, alpha-major,
+    then the (name, weight) pairs of ``extra``. Slot operator i is
+    sum_alpha gamma_alpha F_{alpha i}, the field's terms read from the hook
+    ``_field_terms``, which a subclass overrides. A subclass's ``prefix``
+    names the system in failure messages, as in "e(3,2)".
     """
 
-    def __init__(self, rep, vars: VariableSet):
-        self.rep = rep
-        self.params = rep.params
-        self.vars = vars
+    def __init__(self, rep, k: int, extra=()):
+        if k < 2:
+            raise ValueError(f"k must be at least 2, got {k}")
+        self.rep, self.n, self.k, self.s = rep, rep.n, k, rep.s
+        names = [f"x_{a}_{i}" for a in range(1, self.n + 1) for i in range(1, k + 1)]
+        weights = [1] * len(names) + [weight for _, weight in extra]
+        self.vars = VariableSet.of(names + [name for name, _ in extra], weights)
+        self.ops = [self._slot_op(i, range(1, self.n + 1)) for i in range(1, k + 1)]
         self._tableau = None
         self._spaces = {}
         self._unknowns = {}  # the extension's or lift's unknown monomials per degree
         self._factors = {}  # the solve_correction memo of their factors
 
-    @property
-    def n(self):
-        return self.params.n
+    def _field_terms(self, alpha: int, i: int, matrix):
+        """Terms of the field F_{alpha i} followed by ``matrix``: d/dx_{alpha i}."""
+        return [({self.vars.zero_exponents(): ONE}, self.var_index(alpha, i), matrix)]
 
-    @property
-    def k(self):
-        return self.params.k
-
-    @property
-    def s(self):
-        return self.params.s
+    def _slot_op(self, i: int, alphas) -> DiffOp:
+        """The operator sum over ``alphas`` of gamma_alpha F_{alpha i}."""
+        gamma = self.rep.gamma
+        return DiffOp(self.vars, self.s, [term for a in alphas
+                                          for term in self._field_terms(a, i, gamma[a - 1])])
 
     @property
     def dim_V(self):

@@ -117,14 +117,18 @@ class Tableau:
 
 class OrderedBasis:
     """Ordered basis u^1..u^n of V*, ``rows[i]`` = u^i in old coordinates as
-    a Gaussian-integer pair row; the constructor's one column rank profile
+    a Gaussian-integer pair row of nonzero entries; one column rank profile
     makes every OrderedBasis invertible. Scaling one u^i keeps every span
     u^{k+1..n}, so rational rows may each be scaled to integers."""
 
     def __init__(self, rows: list, label: str = "given"):
         n = len(rows)
-        if any(not 0 <= c < n for row in rows for c in row):
-            raise ValueError("change of basis must be square")
+        for row in rows:
+            for c, v in row.items():
+                if not 0 <= c < n:
+                    raise ValueError("change of basis must be square")
+                if v == (0, 0):
+                    raise ValueError(f"ordering '{label}' stores a zero entry at column {c}")
         if len(int_pivot_cols(rows)) != n:
             raise ValueError(f"ordering '{label}' is singular")
         self.rows = rows

@@ -1,7 +1,7 @@
 import pytest
 import sympy
 
-from kdirac.clifford import CliffordRep, RepParams, build_spinor_rep
+from kdirac.clifford import CliffordRep, build_spinor_rep
 from kdirac.linalg import GaussRational, InvariantViolation
 
 GR = GaussRational
@@ -61,10 +61,10 @@ def test_no_chirality_for_odd():
 
 
 def test_parameter_bounds():
-    with pytest.raises(ValueError):
+    """The representation knows only n; the systems check the slot count
+    k >= 2 (``test_parameter_bounds`` in the Euclidean and parabolic tests)."""
+    with pytest.raises(ValueError, match="n must be at least 3"):
         build_spinor_rep(2)
-    with pytest.raises(ValueError):
-        RepParams(4, 1)
 
 
 def test_construction_deterministic():
@@ -79,4 +79,4 @@ def test_verify_names_n_and_the_generators_of_a_corrupted_matrix():
     gamma = list(rep.gamma)
     gamma[2] = gamma[1]  # then g_2 g_3 + g_3 g_2 = -2 I instead of 0
     with pytest.raises(InvariantViolation, match=r"n = 4: .* a = 2, b = 3"):
-        CliffordRep(rep.params, gamma, rep.chirality).verify()
+        CliffordRep(4, gamma, rep.chirality).verify()

@@ -49,10 +49,10 @@ class TestBuild:
         assert build_euclidean(n, k).tableau().dim == expected
 
     def test_parameter_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n must be at least 3, got 2"):
             build_euclidean(2, 2)
-        with pytest.raises(ValueError):
-            build_euclidean(3, 1)
+        with pytest.raises(ValueError, match="k must be at least 2, got 1"):
+            build_euclidean(4, 1)
 
 
 class TestLevelZero:
@@ -117,7 +117,7 @@ class TestLevelOne:
         """Row j of the paper flag is dt_{j+1} in x-coordinates: up to one
         scale per row, the chart table's coefficients of d/dt_{j+1} in each
         d/dx_{alpha i}, and nothing else."""
-        sys = euclidean.EuclideanSystem(build_spinor_rep(n, 2))
+        sys = euclidean.EuclideanSystem(build_spinor_rep(n), 2)
         rows = level1_ordering(sys).rows
         table = euclidean._chart_data(n)[1]
         scales = [set() for _ in rows]

@@ -37,6 +37,12 @@ def psys42():
 
 
 class TestFields:
+    def test_parameter_bounds(self):
+        with pytest.raises(ValueError, match="n must be at least 3, got 2"):
+            build_parabolic(2, 2)
+        with pytest.raises(ValueError, match="k must be at least 2, got 1"):
+            build_parabolic(4, 1)
+
     def test_bracket_on_y_monomial(self, psys32):
         # [L_{1 1}, L_{1 2}] y_{12} = d_{1 2} y_{12} = 1
         p = SpinorPoly.monomial(
@@ -228,6 +234,12 @@ class TestWeightedSlices:
 
 
 class TestLift:
+    @pytest.mark.parametrize("r,t", [(2, 1), (1, 1), (0, 2), (1, 3)])
+    def test_skew_labels_out_of_range(self, psys32, r, t):
+        with pytest.raises(ValueError, match=rf"skew labels \({r}, {t}\) out of range"
+                                             r" 1 <= r < t <= 2"):
+            y_monomial(psys32, r, t)
+
     def test_trivial_lift(self, psys32):
         psi = psys32.euclidean_monogenic_embedded(1)[0]
         assert lift_check(psys32, psi, constant_poly(psys32)) == psi

@@ -5,8 +5,9 @@ from math import comb
 import pytest
 
 from kdirac.clifford import build_spinor_rep
+from kdirac.euclidean import EuclideanSystem
 from kdirac.linalg import ExactMatrix, GaussRational
-from kdirac.parabolic import build_parabolic
+from kdirac.parabolic import build_parabolic, lift_check
 from kdirac.polynomials import (
     DiffOp,
     SpinorPoly,
@@ -15,6 +16,7 @@ from kdirac.polynomials import (
     apply_op,
     basis_polynomials,
     monomial_basis,
+    scalar_multiply,
     solution_space,
     solve_correction,
 )
@@ -301,3 +303,39 @@ class TestMalformedExponents:
         vs = VariableSet.of(["a"])
         with pytest.raises(ValueError, match="negative exponent"):
             SpinorPoly.monomial(vs, 1, (-1,), 0)
+
+    def test_scalar_factor_of_the_wrong_length(self):
+        p32 = build_parabolic(3, 2)
+        psi = SpinorPoly.monomial(p32.vars, p32.s, (0,) * 7, 0)
+        with pytest.raises(ValueError, match="7 nonnegative"):
+            scalar_multiply({(0,) * 7 + (3,): 1}, psi)
+        with pytest.raises(ValueError, match="7 nonnegative"):
+            scalar_multiply({(0,) * 6 + (-1,): 1}, psi)
+
+    def test_lift_factor_of_the_wrong_length(self):
+        p32 = build_parabolic(3, 2)
+        psi = SpinorPoly.monomial(p32.vars, p32.s, (0,) * 7, 0)
+        with pytest.raises(ValueError, match=r"scalar exponents \(0, 0, 0, 0, 0, 0, 0, 1\)"):
+            lift_check(p32, psi, {(0,) * 6 + (0, 1): 1})
+
+    @pytest.mark.parametrize("unknown", [(1,), (1, 0, 0)])
+    def test_unknown_monomial_of_the_wrong_length(self, unknown):
+        vs = VariableSet.of(["a", "b"])
+        op = DiffOp(vs, 1, [({(0, 0): GR(1)}, 0, ExactMatrix.identity(1))])
+        base = SpinorPoly.monomial(vs, 1, (0, 1), 0)
+        with pytest.raises(ValueError, match="unknown exponents .* are not 2 nonnegative"):
+            solve_correction([op], base, [unknown], {})
+
+
+class TestSlotSystem:
+    """``SlotSystem`` builds the matrix-space slot operators of the default
+    field, sum_a gamma_a d/dx_{a i}, exactly as written out by hand."""
+
+    @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (5, 2), (6, 2), (3, 3), (4, 3)])
+    def test_default_field_gives_the_dirac_slots(self, n, k):
+        rep = build_spinor_rep(n)
+        sys = EuclideanSystem(rep, k)
+        vars, ops = dirac_ops(rep, n, k)
+        assert sys.vars == vars and len(sys.ops) == k
+        for built, written in zip(sys.ops, ops):
+            assert (built._table, built._den) == (written._table, written._den)

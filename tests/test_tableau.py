@@ -112,6 +112,12 @@ class TestFiltration:
         with pytest.raises(ValueError, match="ordering 'bad' is singular"):
             OrderedBasis(pairs([{0: 1, 1: 1}, {0: 2, 1: 2}]), "bad")
 
+    @pytest.mark.parametrize("rows", [[{0: (0, 0)}, {0: (1, 0)}],
+                                      [{0: (1, 0), 1: (0, 0)}, {1: (1, 0)}]])
+    def test_zero_entry_rejected(self, rows):
+        with pytest.raises(ValueError, match="ordering 'z' stores a zero entry at column"):
+            OrderedBasis(rows, "z")
+
     def test_rows_scaled_by_their_own_denominators(self):
         """Each row scaled to Gaussian integers on its own gives the
         filtration sympy gives on the rows as written, unscaled."""
