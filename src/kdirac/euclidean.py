@@ -26,9 +26,7 @@ from .polynomials import (
     VariableSet,
     apply_op,
     basis_polynomials,
-    monomial_basis,
     scalar_multiply,
-    solve_correction,
 )
 from .tableau import OrderedBasis, multisets, tensors
 
@@ -38,8 +36,8 @@ HALF = GaussRational("1/2")
 class EuclideanSystem(SlotSystem):
     """The k-Dirac system on n x k matrix space, with the default field
     d/dx_{alpha i}. Every coefficient is constant, so every term enters the
-    symbol tableau. The ``solve_correction`` memo serves the chart operators'
-    extensions."""
+    symbol tableau. Its ``complete`` memo holds the chart operators'
+    extensions, keyed by degree."""
 
     prefix = "e"
     _chart_ops = None  # built on first use by chart_ops
@@ -219,9 +217,8 @@ def extend_from_initial_data(
     restricting a solution to the leading variables recovers g1 and its
     t_{2n-2}-linear part recovers g2. Solvability and uniqueness are
     guaranteed by the theory, so their failure raises InvariantViolation.
-    The unknown monomials and the factored constraint matrix are built once
-    per system and degree (kept on it); one datum then costs its conversion
-    to chart coordinates, one ``RowFactor.solve`` and the monogenic check.
+    ``SlotSystem.complete`` solves for g with the chart operators, keyed by
+    the degree r: one datum costs one solve and the monogenic check.
     """
     if sys.k != 2:
         raise ValueError("initial-data extension applies to k = 2 only")
@@ -247,32 +244,14 @@ def extend_from_initial_data(
         raise ValueError("initial data degrees must be r and r-1")
 
     lift = {tuple(1 if i == 2 * n - 3 else 0 for i in range(2 * n)): GaussRational(1)}
+
+    def free(e):  # not data: the data monomials are those of g1 and t_{2n-2} g2
+        tdeg = sum(e[t] for t in trailing)
+        return not (tdeg == 0 or (tdeg == 1 and e[2 * n - 3] == 1))
+
     base = g1 + scalar_multiply(lift, g2)
-    ops = chart_ops(sys)
-
-    unknown = sys._unknowns.get(r)
-    if unknown is None:
-        def is_data_monomial(e):
-            tdeg = sum(e[t] for t in trailing)
-            return tdeg == 0 or (tdeg == 1 and e[2 * n - 3] == 1)
-
-        unknown = tuple(e for e in monomial_basis(vars, r) if not is_data_monomial(e))
-        sys._unknowns[r] = unknown
-    g, rank = solve_correction(ops, base, unknown, sys._factors)
-    where, want = f"e({n},2) degree {r}", len(unknown) * s
-    if g is None or rank != want:
-        what = "does not exist" if g is None else "is not unique"
-        raise InvariantViolation(
-            f"{where}: extension {what}: rank {rank}, len(unknown) * s = {want}")
-    return require_monogenic(ops, base + g, where)
-
-
-def require_monogenic(ops, psi: SpinorPoly, where: str) -> SpinorPoly:
-    """Return ``psi`` after checking that every op annihilates it."""
-    for slot, op in enumerate(ops, 1):
-        if left := len(apply_op(op, psi).coeffs):
-            raise InvariantViolation(
-                f"{where}: result not monogenic, op {slot} leaves {left} terms")
+    psi, _ = sys.complete(chart_ops(sys), base, r, r, free, f"e({n},2) degree {r}",
+                          unique=True)
     return psi
 
 

@@ -27,7 +27,7 @@ from itertools import product
 from math import comb
 
 from .clifford import CliffordRep, build_spinor_rep
-from .euclidean import EuclideanSystem, HALF, level1_ordering, require_monogenic
+from .euclidean import EuclideanSystem, HALF, level1_ordering
 from .linalg import (
     ExactMatrix,
     GaussRational,
@@ -38,10 +38,10 @@ from .polynomials import (
     DiffOp,
     SlotSystem,
     SpinorPoly,
+    _require_exponents,
     apply_op,
     monomial_basis,
     scalar_multiply,
-    solve_correction,
 )
 from .tableau import OrderedBasis, cartan_test, multisets, prolong, search_ordering, tensors
 
@@ -49,7 +49,8 @@ from .tableau import OrderedBasis, cartan_test, multisets, prolong, search_order
 class ParabolicSystem(SlotSystem):
     """The k-Dirac system on the extended space: the y_{r t} follow the matrix
     block with weight 2, and the field is L_{alpha i} (``lfields``, in
-    ``var_index`` order). The ``solve_correction`` memo serves the lifts."""
+    ``var_index`` order). Its ``complete`` memo holds the lifts, keyed by
+    (seed degree, y-degree of g)."""
 
     prefix = "p"
     _euclidean = None  # the matrix-space system, built on first use by euclidean
@@ -298,6 +299,7 @@ def _validate_lift_inputs(sys, psi, g):
             raise ValueError("the seed spinor is not monogenic")
     ydegs = set()
     for exps in g:
+        _require_exponents("scalar", exps, sys.vars)
         if any(exps[:nk]):
             raise ValueError("g must be a polynomial in the y-variables only")
         ydegs.add(sum(exps[nk:]))
@@ -317,27 +319,19 @@ def lift_check(sys: ParabolicSystem, psi: SpinorPoly, g) -> SpinorPoly:
 
     ``g`` is a scalar polynomial in the y-variables (mapping exponent tuples
     over the extended variable set to coefficients). Existence is guaranteed;
-    failure of the solve raises InvariantViolation. The unknown monomials
-    and the factored constraint matrix are built once per system, seed degree
-    and y-degree of g (kept on the system); one datum then costs the input
-    checks, the product g psi, one ``RowFactor.solve`` and the re-check of
-    the returned spinor against every slot operator.
+    failure of the solve raises InvariantViolation. ``SlotSystem.complete``
+    solves for the lower-order part on the monomials of y-degree below l,
+    keyed by (r, l): one datum costs the input checks, the product g psi, one
+    solve and the re-check of the returned spinor against every slot operator.
     """
     r, l = _validate_lift_inputs(sys, psi, g)
     base = scalar_multiply(g, psi)
     if l == 0:
         return base
-    unknown = sys._unknowns.get((r, l))
-    if unknown is None:
-        nk = sys.n * sys.k
-        unknown = tuple(e for e in monomial_basis(sys.vars, r + 2 * l) if sum(e[nk:]) < l)
-        sys._unknowns[r, l] = unknown
-    h, rank = solve_correction(sys.ops, base, unknown, sys._factors)
-    where = f"p({sys.n},{sys.k}) seed degree {r}, y-degree {l}"
-    if h is None:
-        raise InvariantViolation(f"{where}: no lift with leading term g psi: rank "
-                                 f"{rank}, len(unknown) * s = {len(unknown) * sys.s}")
-    return require_monogenic(sys.ops, base + h, where)
+    nk = sys.n * sys.k
+    lifted, _ = sys.complete(sys.ops, base, (r, l), r + 2 * l, lambda e: sum(e[nk:]) < l,
+                             f"p({sys.n},{sys.k}) seed degree {r}, y-degree {l}")
+    return lifted
 
 
 def y_monomial(sys: ParabolicSystem, r: int, t: int, power: int = 1):
@@ -345,7 +339,3 @@ def y_monomial(sys: ParabolicSystem, r: int, t: int, power: int = 1):
     exp = [0] * len(sys.vars)
     exp[sys.y_index(r, t)] = power
     return {tuple(exp): GaussRational(1)}
-
-
-def constant_poly(sys: ParabolicSystem):
-    return {(0,) * len(sys.vars): GaussRational(1)}

@@ -14,7 +14,10 @@ weighted degree by a fixed amount; ``solution_space`` exploits that to reduce
 A :class:`SlotSystem` builds both k-Dirac systems: the variables and the k
 slot operators sum_alpha gamma_alpha F_{alpha i}, the field F read from one
 hook. It reads its symbol tableau off the operators' constant-coefficient
-terms and keeps the memos of its solution slices and of ``solve_correction``.
+terms and keeps the memo of its solution slices. Its ``complete`` fills in the
+free monomials of a known part so that the result solves given operators,
+one ``RowFactor`` per key serving many data: the k = 2 extension from initial
+data and the parabolic lift both run on it.
 
 Coefficients are GaussRational at the interface. Inside, each operator keeps
 one term table of Gaussian-integer pairs over one denominator: ``apply_op``
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 
 from .linalg import (
     GaussRational,
+    InvariantViolation,
     ONE,
     RowFactor,
     SubspaceBasis,
@@ -376,59 +380,6 @@ def solution_dim(
     return ncols - len(int_pivot_cols([{top - c: v for c, v in row.items()} for row in rows]))
 
 
-_APART = "base and unknown monomials must be apart and of one degree"
-
-
-def solve_correction(
-    ops: Sequence[DiffOp], base: SpinorPoly, unknown: Sequence, factors: dict
-):
-    """Complete a known homogeneous part to a joint solution of the ops.
-
-    Finds ``h`` supported on the ``unknown`` monomials (exponent tuples of the
-    weighted degree of ``base``) with op(base + h) = 0 for every op; ``base``
-    may use only the other monomials of that degree. The degree is read off
-    ``base``, or off the first unknown when ``base`` is zero.
-
-    ``factors`` is the caller's memo for this list of ops (a system keeps
-    one), keyed by (degree, tuple(unknown)). Its entry is built once: the
-    unknown monomials are checked to be exponent tuples of the degree, the
-    coefficient matrix over all monomials of the degree, unknown ones first,
-    is reduced into a :class:`RowFactor`, and ``col_of`` indexes them. A hit
-    means the same unknown list was already checked, so one datum costs
-    mapping ``base`` through ``col_of`` (a monomial missing from it, or
-    indexed among the unknowns, raises ValueError) and one ``RowFactor.solve``.
-
-    Returns (h, rank): h is a particular solution (free coordinates zero) or
-    None when none exists, and rank is that of the unknown block, so the
-    solution is unique exactly when rank == len(unknown) * spinor_dim.
-    """
-    vars, s = base.vars, base.spinor_dim
-    if not base.coeffs and not unknown:
-        raise ValueError(_APART)
-    degree = vars.weighted_degree(next(iter(base.coeffs))[0] if base.coeffs else unknown[0])
-    key = (degree, tuple(unknown))
-    if key not in factors:
-        for e in unknown:
-            _require_exponents("unknown", e, vars)
-        if any(vars.weighted_degree(e) != degree for e in unknown):
-            raise ValueError(_APART)
-        skip = set(unknown)
-        monos = list(unknown)
-        monos += [e for e in monomial_basis(vars, degree) if e not in skip]
-        rows, _ = _constraint_rows(ops, vars, s, degree, monos)
-        col_of = {e: idx for idx, e in enumerate(monos)}
-        factors[key] = (monos, col_of, RowFactor(rows, len(unknown) * s))
-    monos, col_of, factor = factors[key]
-    first, x = len(unknown), {}
-    for (e, mu), v in base.coeffs.items():
-        col = col_of.get(e, -1)
-        if col < first:
-            raise ValueError(_APART)
-        x[col * s + mu] = -v
-    h = factor.solve(x)
-    return (None if h is None else _as_poly(vars, s, monos, h)), factor.rank
-
-
 def _as_poly(vars: VariableSet, spinor_dim: int, monos, vec) -> SpinorPoly:
     """The polynomial with coordinate vector ``vec`` over (monos, spinor)."""
     coeffs = {}
@@ -463,8 +414,7 @@ class SlotSystem:
         self.ops = [self._slot_op(i, range(1, self.n + 1)) for i in range(1, k + 1)]
         self._tableau = None
         self._spaces = {}
-        self._unknowns = {}  # the extension's or lift's unknown monomials per degree
-        self._factors = {}  # the solve_correction memo of their factors
+        self._completions = {}  # the memo of ``complete``
 
     def _field_terms(self, alpha: int, i: int, matrix):
         """Terms of the field F_{alpha i} followed by ``matrix``: d/dx_{alpha i}."""
@@ -483,7 +433,8 @@ class SlotSystem:
     def var_index(self, alpha: int, i: int) -> int:
         """0-based variable/coordinate index of x_{alpha i} (1-based labels)."""
         if not (1 <= alpha <= self.n and 1 <= i <= self.k):
-            raise ValueError("matrix entry labels out of range")
+            raise ValueError(f"matrix entry labels ({alpha}, {i}) out of range"
+                             f" 1 <= alpha <= {self.n}, 1 <= i <= {self.k}")
         return (alpha - 1) * self.k + (i - 1)
 
     def tableau(self) -> Tableau:
@@ -516,3 +467,50 @@ class SlotSystem:
         if r in self._spaces:
             return self._spaces[r].dim
         return solution_dim(self.ops, self.vars, self.s, r)
+
+    def complete(self, ops, base: SpinorPoly, key, degree: int, free, where: str,
+                 unique: bool = False):
+        """Complete the known part ``base`` to a joint solution of ``ops``.
+
+        Finds h on the monomials of ``degree`` that ``free`` accepts with
+        op(base + h) = 0 for every op, its non-pivot coordinates zero; ``base``
+        may use only the other monomials of that degree. Returns (base + h,
+        rank), rank being that of the coefficient block of the free monomials.
+
+        The first call for ``key`` lists the monomials of the degree in
+        ``monomial_basis`` order, the free ones first, and reduces the
+        coefficient matrix of ``ops`` over them into one :class:`RowFactor`,
+        kept in ``_completions``; ``key`` must fix ops, degree and ``free``.
+        Every call then maps ``base`` onto the data columns and makes one
+        ``RowFactor.solve``. The caller vouches for a solution, so a base
+        monomial that is free or of another degree, a missing h, a short rank
+        when ``unique`` is set, or a result some op leaves nonzero raises
+        InvariantViolation naming ``where``.
+        """
+        vars, s = base.vars, base.spinor_dim
+        if key not in self._completions:
+            monos = monomial_basis(vars, degree)
+            unknown = [e for e in monos if free(e)]
+            monos = unknown + [e for e in monos if not free(e)]
+            rows, _ = _constraint_rows(ops, vars, s, degree, monos)
+            data_col = {e: idx for idx, e in enumerate(monos) if idx >= len(unknown)}
+            self._completions[key] = (monos, data_col, RowFactor(rows, len(unknown) * s))
+        monos, data_col, factor = self._completions[key]
+        x = {}
+        for (e, mu), v in base.coeffs.items():
+            if e not in data_col:
+                raise InvariantViolation(
+                    f"{where}: base monomial {e} is free or not of degree {degree}")
+            x[data_col[e] * s + mu] = -v
+        h = factor.solve(x)
+        want = (len(monos) - len(data_col)) * s
+        if h is None or (unique and factor.rank < want):
+            what = "does not exist" if h is None else "is not unique"
+            raise InvariantViolation(f"{where}: completion {what}: rank {factor.rank},"
+                                     f" len(unknown) * s = {want}")
+        psi = base + _as_poly(vars, s, monos, h)
+        for slot, op in enumerate(ops, 1):
+            if left := len(apply_op(op, psi).coeffs):
+                raise InvariantViolation(
+                    f"{where}: completion not annihilated, op {slot} leaves {left} terms")
+        return psi, factor.rank

@@ -2,7 +2,9 @@
 the package has no ``assert`` statement, which ``python -O`` strips, and
 raises no AssertionError. No module imports a name it never uses, unless the
 import line says ``noqa`` and why. Forward elimination has one routine,
-``linalg._echelon``: no other module reaches the row update ``_axpy``."""
+``linalg._echelon``: no other module reaches the row update ``_axpy``. Solving
+for a known part's completion has one routine, ``SlotSystem.complete``: no
+module but ``linalg`` and ``polynomials`` names ``RowFactor``."""
 
 import ast
 from pathlib import Path
@@ -45,12 +47,17 @@ def test_package_imports_only_names_it_uses():
     assert [o for path, text in sources() for o in unused_imports(path, text)] == []
 
 
-def axpy_references(path, text):
+def references(path, text, name):
     for node in ast.walk(ast.parse(text, str(path))):
-        if "_axpy" in (getattr(node, field, None) for field in ("id", "attr", "name")):
-            yield f"{path.name}:{node.lineno}: _axpy outside linalg"
+        if name in (getattr(node, field, None) for field in ("id", "attr", "name")):
+            yield f"{path.name}:{node.lineno}: {name}"
 
 
 def test_only_linalg_updates_rows():
     assert [o for path, text in sources() if path.name != "linalg.py"
-            for o in axpy_references(path, text)] == []
+            for o in references(path, text, "_axpy")] == []
+
+
+def test_only_polynomials_completes_on_a_row_factor():
+    assert [o for path, text in sources() if path.name not in ("linalg.py", "polynomials.py")
+            for o in references(path, text, "RowFactor")] == []

@@ -9,7 +9,6 @@ from kdirac.linalg import ExactMatrix, GaussRational, RowFactor, rank_rows
 from kdirac.parabolic import (
     ParabolicSystem,
     build_parabolic,
-    constant_poly,
     level0_prolongation_formula,
     level0_rhs_formula,
     level1_rhs_formula,
@@ -242,7 +241,7 @@ class TestLift:
 
     def test_trivial_lift(self, psys32):
         psi = psys32.euclidean_monogenic_embedded(1)[0]
-        assert lift_check(psys32, psi, constant_poly(psys32)) == psi
+        assert lift_check(psys32, psi, y_monomial(psys32, 1, 2, 0)) == psi
 
     def test_constant_seed(self, psys32):
         psi = SpinorPoly.monomial(psys32.vars, psys32.s, (0,) * 7, 0)
@@ -273,12 +272,12 @@ class TestLift:
     def test_rejects_non_monogenic_seed(self, psys32):
         bad = SpinorPoly.monomial(psys32.vars, psys32.s, (1, 0, 0, 0, 0, 0, 0), 0)
         with pytest.raises(ValueError):
-            lift_check(psys32, bad, constant_poly(psys32))
+            lift_check(psys32, bad, y_monomial(psys32, 1, 2, 0))
 
     def test_rejects_seed_with_y(self, psys32):
         bad = SpinorPoly.monomial(psys32.vars, psys32.s, (0, 0, 0, 0, 0, 0, 1), 0)
         with pytest.raises(ValueError):
-            lift_check(psys32, bad, constant_poly(psys32))
+            lift_check(psys32, bad, y_monomial(psys32, 1, 2, 0))
 
     def test_rejects_mixed_g(self, psys32):
         psi = SpinorPoly.monomial(psys32.vars, psys32.s, (0,) * 7, 0)
@@ -306,13 +305,13 @@ class TestLiftBasis:
 
     def test_memo_keeps_one_factor_per_seed_degree_and_y_degree(self):
         psys = build_parabolic(3, 2)
-        assert psys._factors == {}
+        assert psys._completions == {}
         # seed degree 1 by y12^2 and seed degree 3 by y12 share weighted degree 5
         for degree, power in ((1, 2), (3, 1), (1, 2)):
             psi = psys.euclidean_monogenic_embedded(degree)[0]
             lift_check(psys, psi, y_monomial(psys, 1, 2, power))
-        assert sorted(k[0] for k in psys._factors) == [5, 5]
-        assert build_parabolic(3, 2)._factors == {}
+        assert sorted(psys._completions) == [(1, 2), (3, 1)]
+        assert build_parabolic(3, 2)._completions == {}
 
     def test_second_lift_of_a_degree_pair_enumerates_and_factors_nothing(
         self, count_calls

@@ -4,9 +4,10 @@ from math import comb
 
 import pytest
 
+from kdirac import polynomials
 from kdirac.clifford import build_spinor_rep
-from kdirac.euclidean import EuclideanSystem
-from kdirac.linalg import ExactMatrix, GaussRational
+from kdirac.euclidean import EuclideanSystem, build_euclidean
+from kdirac.linalg import ExactMatrix, GaussRational, InvariantViolation, RowFactor
 from kdirac.parabolic import build_parabolic, lift_check
 from kdirac.polynomials import (
     DiffOp,
@@ -18,7 +19,6 @@ from kdirac.polynomials import (
     monomial_basis,
     scalar_multiply,
     solution_space,
-    solve_correction,
 )
 
 GR = GaussRational
@@ -209,7 +209,8 @@ class TestSolutionSpace:
 
 
 class TestSolveCorrection:
-    """Complete x^2 to a solution of one first-order operator in x, y."""
+    """``SlotSystem.complete`` completes x^2 to a solution of one first-order
+    operator in x, y. Any system holds the memo; the toy keys are its own."""
 
     vs = VariableSet.of(["x", "y"])
 
@@ -218,65 +219,91 @@ class TestSolveCorrection:
         one, ident = {(0, 0): GR(1)}, ExactMatrix.identity(1)
         return DiffOp(self.vs, 1, [(one, 0, ident), ({(0, 0): GR(cy)}, 1, ident)])
 
+    @staticmethod
+    def holder():
+        return EuclideanSystem(build_spinor_rep(3), 2)
+
+    def complete(self, op, base, free, degree=2, key="toy", holder=None, unique=False):
+        return (holder or self.holder()).complete([op], base, key, degree, free, "toy", unique)
+
     def test_inconsistent_system(self):
         base = SpinorPoly.monomial(self.vs, 1, (2, 0), 0)
         # d/dx (x^2 + b y^2) = 2x for every b
-        h, rank = solve_correction([self.op(0)], base, [(0, 2)], {})
-        assert h is None and rank == 0
+        with pytest.raises(InvariantViolation,
+                           match=r"toy: completion does not exist: rank 0, len\(unknown\) \* s = 1"):
+            self.complete(self.op(0), base, lambda e: e == (0, 2))
 
     def test_unique_correction_on_unknown_monomials(self):
         base = SpinorPoly.monomial(self.vs, 1, (2, 0), 0)
-        unknown = [(1, 1), (0, 2)]
         op = self.op(-1)
-        h, rank = solve_correction([op], base, unknown, {})
+        psi, rank = self.complete(op, base, lambda e: e != (2, 0), unique=True)
         assert rank == 2
         # (d/dx - d/dy) (x + y)^2 = 0
-        assert h.coeffs == {((1, 1), 0): GR(2), ((0, 2), 0): GR(1)}
-        assert {exps for exps, _ in h.coeffs} <= set(unknown)
-        assert apply_op(op, base + h).is_zero()
+        assert psi.coeffs == {((2, 0), 0): GR(1), ((1, 1), 0): GR(2), ((0, 2), 0): GR(1)}
+        assert apply_op(op, psi).is_zero()
 
     def test_mixed_degrees_rejected(self):
         base = SpinorPoly.monomial(self.vs, 1, (2, 0), 0)
-        with pytest.raises(ValueError):
-            solve_correction([self.op(1)], base, [(0, 1)], {})
+        with pytest.raises(InvariantViolation, match=r"toy: base monomial \(2, 0\) is free"
+                                                     " or not of degree 1"):
+            self.complete(self.op(1), base, lambda e: e == (0, 1), degree=1)
 
     def test_base_on_an_unknown_monomial_rejected(self):
         base = SpinorPoly.monomial(self.vs, 1, (1, 1), 0)
-        with pytest.raises(ValueError):
-            solve_correction([self.op(-1)], base, [(1, 1), (0, 2)], {})
+        with pytest.raises(InvariantViolation, match=r"base monomial \(1, 1\) is free"):
+            self.complete(self.op(-1), base, lambda e: e != (2, 0))
 
     def test_warm_memo_still_rejects_a_base_on_an_unknown_or_of_another_degree(self):
-        op, unknown, factors = self.op(-1), [(1, 1), (0, 2)], {}
+        op, free, holder = self.op(-1), lambda e: e != (2, 0), self.holder()
         good = SpinorPoly.monomial(self.vs, 1, (2, 0), 0)
-        solve_correction([op], good, unknown, factors)
-        assert len(factors) == 1
+        self.complete(op, good, free, holder=holder)
+        assert list(holder._completions) == ["toy"]
         for exps in ((1, 1), (3, 0)):
             base = SpinorPoly.monomial(self.vs, 1, exps, 0)
-            with pytest.raises(ValueError, match="apart and of one degree"):
-                solve_correction([op], base, unknown, factors)
+            with pytest.raises(InvariantViolation, match="is free or not of degree 2"):
+                self.complete(op, base, free, holder=holder)
         mixed = good + SpinorPoly.monomial(self.vs, 1, (0, 1), 0)
-        with pytest.raises(ValueError, match="apart and of one degree"):
-            solve_correction([op], mixed, unknown, factors)
-        assert len(factors) == 1
+        with pytest.raises(InvariantViolation, match="is free or not of degree 2"):
+            self.complete(op, mixed, free, holder=holder)
+        assert list(holder._completions) == ["toy"]
 
     def test_zero_base_takes_the_degree_of_the_unknowns(self):
         zero = SpinorPoly.zero(self.vs, 1)
-        h, rank = solve_correction([self.op(-1)], zero, [(1, 1), (0, 2)], {})
-        assert h.is_zero() and rank == 2
-        with pytest.raises(ValueError):
-            solve_correction([self.op(-1)], zero, [(1, 1), (0, 1)], {})
-        with pytest.raises(ValueError):
-            solve_correction([self.op(-1)], zero, [], {})
+        psi, rank = self.complete(self.op(-1), zero, lambda e: e != (2, 0), unique=True)
+        assert psi.is_zero() and rank == 2
+        psi, rank = self.complete(self.op(-1), zero, lambda e: False, degree=3)
+        assert psi.is_zero() and rank == 0
+
+    def test_short_rank_fails_only_when_unique(self):
+        # d/dx (a xy + b y^2) = a y: b is free, so the completion of 0 is not unique
+        zero, free = SpinorPoly.zero(self.vs, 1), lambda e: e != (2, 0)
+        psi, rank = self.complete(self.op(0), zero, free)
+        assert psi.is_zero() and rank == 1
+        with pytest.raises(InvariantViolation,
+                           match=r"toy: completion is not unique: rank 1, len\(unknown\) \* s = 2"):
+            self.complete(self.op(0), zero, free, unique=True)
+
+    def test_result_left_nonzero_by_an_op_is_refused(self, monkeypatch):
+        class Zero(RowFactor):
+            __slots__ = ()
+
+            def solve(self, x):
+                return {}
+
+        monkeypatch.setattr(polynomials, "RowFactor", Zero)
+        base = SpinorPoly.monomial(self.vs, 1, (2, 0), 0)
+        with pytest.raises(InvariantViolation,
+                           match="toy: completion not annihilated, op 1 leaves 1 terms"):
+            self.complete(self.op(-1), base, lambda e: e != (2, 0))
 
     def test_memo_reuses_one_factor_per_degree_and_unknowns(self):
-        op, factors = self.op(-1), {}
-        for unknown, exps in (([(1, 1), (0, 2)], (2, 0)), ([(0, 2)], (2, 0)),
-                              ([(0, 3)], (3, 0)), ([(1, 1), (0, 2)], (2, 0))):
+        op, holder = self.op(-1), self.holder()
+        # each base completes to a multiple of (x + y)^2 or (x + y)^3
+        for key, exps in (("x2", (2, 0)), ("xy", (1, 1)), ("x3", (3, 0)), ("x2", (2, 0))):
             base = SpinorPoly.monomial(self.vs, 1, exps, 0, GR(2, 1))
-            assert solve_correction([op], base, unknown, factors) == solve_correction(
-                [op], base, unknown, {}
-            )
-        assert sorted(k[0] for k in factors) == [2, 2, 3]
+            args = (op, base, lambda e, exps=exps: e != exps, sum(exps), key)
+            assert self.complete(*args, holder) == self.complete(*args)
+        assert sorted(holder._completions) == ["x2", "x3", "xy"]
 
 
 def test_spinor_poly_substitution():
@@ -318,13 +345,12 @@ class TestMalformedExponents:
         with pytest.raises(ValueError, match=r"scalar exponents \(0, 0, 0, 0, 0, 0, 0, 1\)"):
             lift_check(p32, psi, {(0,) * 6 + (0, 1): 1})
 
-    @pytest.mark.parametrize("unknown", [(1,), (1, 0, 0)])
-    def test_unknown_monomial_of_the_wrong_length(self, unknown):
-        vs = VariableSet.of(["a", "b"])
-        op = DiffOp(vs, 1, [({(0, 0): GR(1)}, 0, ExactMatrix.identity(1))])
-        base = SpinorPoly.monomial(vs, 1, (0, 1), 0)
-        with pytest.raises(ValueError, match="unknown exponents .* are not 2 nonnegative"):
-            solve_correction([op], base, [unknown], {})
+    def test_lift_factor_too_short(self):
+        p32 = build_parabolic(3, 2)
+        psi = SpinorPoly.monomial(p32.vars, p32.s, (0,) * 7, 0)
+        with pytest.raises(ValueError, match=r"scalar exponents \(0, 0, 0, 0, 0, 1\) are not"
+                                             " 7 nonnegative integers"):
+            lift_check(p32, psi, {(0, 0, 0, 0, 0, 1): 1})
 
 
 class TestSlotSystem:
@@ -339,3 +365,12 @@ class TestSlotSystem:
         assert sys.vars == vars and len(sys.ops) == k
         for built, written in zip(sys.ops, ops):
             assert (built._table, built._den) == (written._table, written._den)
+
+    def test_matrix_labels_out_of_range_are_named(self):
+        e32, p32 = build_euclidean(3, 2), build_parabolic(3, 2)
+        for call, labels in ((lambda: p32.lfield(4, 1), r"\(4, 1\)"),
+                             (lambda: e32.var_index(1, 3), r"\(1, 3\)"),
+                             (lambda: e32.var_index(0, 1), r"\(0, 1\)")):
+            with pytest.raises(ValueError, match=rf"matrix entry labels {labels} out of range"
+                                                 r" 1 <= alpha <= 3, 1 <= i <= 2"):
+                call()
