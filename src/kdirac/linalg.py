@@ -291,16 +291,16 @@ def _echelon(int_rows: Iterable[dict], limit=None, held=None):
     Returns (pivots, rest): ``pivots`` maps each new lead column before
     ``limit`` to the one kept row leading there, ``rest`` lists the nonzero
     remainders leading at or past it. ``held`` (the greedy flag search's
-    state) maps lead columns to rows in echelon form that are never changed,
-    swapped out or returned: a row is reduced against them first, so
-    ``pivots`` holds only the leads the rows add. Each row is reduced until
-    its lead is new; when two kept rows lead at one column the
-    one with the smaller lead |re| + |im|, then the fewer entries, is kept and
-    the other is reduced by it, which keeps entries small on dense rows. A row
-    is copied before its first update, so the input rows are never changed; a
-    row kept or left over unchanged is the caller's own object.
+    state), looked up only when given, maps lead columns to rows in echelon
+    form that are never changed, swapped out or returned: a row is reduced
+    against them first, so ``pivots`` holds only the leads the rows add.
+    Each row is reduced until its lead is new; when two kept rows lead at one
+    column the one with the smaller lead |re| + |im|, then the fewer entries,
+    is kept and the other is reduced by it, which keeps entries small on
+    dense rows. A row is copied before its first update, so the input rows
+    are never changed; a row kept or left over unchanged is the caller's own
+    object.
     """
-    held = held or {}
     pivots, rest = {}, []
     for row in int_rows:
         mine = False
@@ -309,7 +309,7 @@ def _echelon(int_rows: Iterable[dict], limit=None, held=None):
             if limit is not None and lead >= limit:
                 rest.append(row)
                 break
-            other = held.get(lead)
+            other = held.get(lead) if held else None
             if other is None:
                 other = pivots.get(lead)
                 if other is None:

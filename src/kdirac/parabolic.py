@@ -38,9 +38,9 @@ from .polynomials import (
     DiffOp,
     SlotSystem,
     SpinorPoly,
+    _grade,
     _require_exponents,
     apply_op,
-    monomial_basis,
     scalar_multiply,
 )
 from .tableau import OrderedBasis, cartan_test, multisets, prolong, search_ordering, tensors
@@ -277,7 +277,7 @@ def y_free_dim(sys: ParabolicSystem, r: int) -> int:
     nk, s = sys.n * sys.k, sys.s
     y_cols = {
         idx * s + mu
-        for idx, exps in enumerate(monomial_basis(sys.vars, r))
+        for idx, exps in enumerate(_grade(sys.vars, r)[0])
         if any(exps[nk:])
         for mu in range(s)
     }

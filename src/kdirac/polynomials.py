@@ -6,6 +6,15 @@ weight 2 for the skew coordinates of the extended space), monomials are graded
 by the weighted degree and enumerated in a fixed order, so every coefficient
 matrix built here is reproducible entry for entry.
 
+The enumeration is done once per variable set (names and weights) and
+degree. ``_grade`` holds the degree's monomials as a tuple with their
+positions; ``_lowering`` holds, for one term x^c d/dx_v on a degree, the
+(source position, target position, exponent of x_v) of every monomial the
+term does not kill. Both are built on first use and shared read-only:
+``_constraint_rows`` maps any column order onto them, and ``solution_dim``
+takes its columns over the reversed grade tuple. Only the combinatorics is
+kept; every elimination runs on every call.
+
 A differential operator is a sum of terms (coefficient polynomial) *
 (coordinate derivative) * (spinor matrix). Homogeneous operators shift the
 weighted degree by a fixed amount; ``solution_space`` exploits that to reduce
@@ -27,6 +36,8 @@ are Gaussian-integer rows for the elimination core.
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import cache
+from types import MappingProxyType
 
 from .linalg import (
     GaussRational,
@@ -51,6 +62,9 @@ class VariableSet:
     weights: tuple
 
     def __post_init__(self):
+        # tuples keep the set hashable: it keys the shared grade tables
+        object.__setattr__(self, "names", tuple(self.names))
+        object.__setattr__(self, "weights", tuple(self.weights))
         if len(self.names) != len(self.weights):
             raise ValueError("names and weights must have equal length")
         if len(set(self.names)) != len(self.names):
@@ -61,9 +75,7 @@ class VariableSet:
     @classmethod
     def of(cls, names, weights=None) -> "VariableSet":
         names = tuple(names)
-        if weights is None:
-            weights = (1,) * len(names)
-        return cls(names, tuple(weights))
+        return cls(names, (1,) * len(names) if weights is None else weights)
 
     def __len__(self):
         return len(self.names)
@@ -107,6 +119,15 @@ def monomial_basis(vars: VariableSet, weighted_degree: int):
         return [()] if weighted_degree == 0 else []
     fill(0, weighted_degree)
     return out
+
+
+@cache
+def _grade(vars: VariableSet, weighted_degree: int):
+    """(monos, index): the ``monomial_basis`` of the degree as a tuple and
+    each monomial's position in it, built once per variable set and degree
+    and shared read-only by every caller."""
+    monos = tuple(monomial_basis(vars, weighted_degree))
+    return monos, MappingProxyType({e: i for i, e in enumerate(monos)})
 
 
 class SpinorPoly:
@@ -275,6 +296,21 @@ def _lowered(exps, var, cexp):
     return tuple(out)
 
 
+@cache
+def _lowering(vars: VariableSet, weighted_degree: int, var: int, cexp) -> tuple:
+    """The term x^cexp d/d(var) on the degree's ``_grade``, as three aligned
+    tuples: the source position, the target position and the exponent of var
+    of each monomial it does not kill, targets in the ``_grade`` of the
+    shifted degree. Built once per variable set, degree and term, shared
+    read-only; aligned tuples of ints take a third of the memory of one tuple
+    per monomial."""
+    monos, _ = _grade(vars, weighted_degree)
+    _, index = _grade(vars, weighted_degree - vars.weights[var] + vars.weighted_degree(cexp))
+    srcs = tuple(src for src, exps in enumerate(monos) if exps[var])
+    return (srcs, tuple(index[_lowered(monos[src], var, cexp)] for src in srcs),
+            tuple(monos[src][var] for src in srcs))
+
+
 def apply_op(op: DiffOp, p: SpinorPoly) -> SpinorPoly:
     """Exact application: differentiate, multiply by the coefficient, then act
     on the spinor index. Linear in ``p``. Accumulates over Gaussian integers
@@ -310,12 +346,19 @@ def _constraint_rows(
     Gaussian-integer pair rows.
 
     Rows come in blocks, one per operator, indexed by (target monomial,
-    spinor component) within the block; each block is the operator's matrix
-    times its table denominator, a row scaling that keeps kernels, ranks and
-    solutions. Columns are indexed by (source monomial, spinor component) with
-    the spinor index minor. The source monomials are ``monos`` in the given
-    order, by default the whole ``monomial_basis`` of the degree. Returns
-    (rows, ncols); rows with no entry are kept, so row ids stay positional.
+    spinor component) within the block, targets in ``_grade`` order; each
+    block is the operator's matrix times its table denominator, a row scaling
+    that keeps kernels, ranks and solutions. Columns are indexed by (source
+    monomial, spinor component) with the spinor index minor. The source
+    monomials are ``monos`` in the given order, by default the whole
+    ``_grade`` of the degree; each term reads its entries off its
+    ``_lowering`` table. Returns (rows, ncols); rows with no entry are kept,
+    so row ids stay positional.
+
+    Each entry is written once, with nothing to add up: two terms x^c
+    d/d(var) of one operator that sent a monomial to one target would have
+    c - e_var equal, so one coefficient would contain its own variable, and
+    such a term does not lower the degree.
     """
     shifts = []
     for op in ops:
@@ -323,38 +366,32 @@ def _constraint_rows(
         if shift >= 0:
             raise ValueError("operators must lower the weighted degree")
         shifts.append(shift)
+    grade, index = _grade(vars, weighted_degree)
     if monos is None:
-        monos = monomial_basis(vars, weighted_degree)
-    ncols = len(monos) * spinor_dim
+        monos = grade
+    first_col = [None] * len(grade)  # by grade position: the monomial's first column
+    for m_idx, exps in enumerate(monos):
+        pos = index[exps]
+        if first_col[pos] is not None:
+            raise ValueError(f"monomial {exps} is listed twice")
+        first_col[pos] = m_idx * spinor_dim
     rows = []
-    indexes = {d: {e: i for i, e in enumerate(monomial_basis(vars, d))}
-               for d in {weighted_degree + shift for shift in shifts} if d >= 0}
     for op, shift in zip(ops, shifts):
         target_deg = weighted_degree + shift
         if target_deg < 0:
             continue
-        targets = indexes[target_deg]
         base_row = len(rows)
-        rows += [{} for _ in range(len(targets) * spinor_dim)]
-        for m_idx, exps in enumerate(monos):
-            for var, cexp, cols in op._table:
-                e = exps[var]
-                if not e:
+        rows += [{} for _ in range(len(_grade(vars, target_deg)[0]) * spinor_dim)]
+        for var, cexp, cols in op._table:
+            entries = [(mu, nu, a, b) for mu, column in enumerate(cols) for nu, (a, b) in column]
+            for src, tgt, e in zip(*_lowering(vars, weighted_degree, var, cexp)):
+                c0 = first_col[src]
+                if c0 is None:
                     continue
-                t_row = base_row + targets[_lowered(exps, var, cexp)] * spinor_dim
-                for mu, column in enumerate(cols):
-                    col = m_idx * spinor_dim + mu
-                    for nu, (a, b) in column:
-                        row = rows[t_row + nu]
-                        re, im = e * a, e * b
-                        cur = row.get(col)
-                        if cur is not None:
-                            re, im = re + cur[0], im + cur[1]
-                            if not (re or im):
-                                del row[col]
-                                continue
-                        row[col] = (re, im)
-    return rows, ncols
+                t_row = base_row + tgt * spinor_dim
+                for mu, nu, a, b in entries:
+                    rows[t_row + nu][c0 + mu] = (e * a, e * b)
+    return rows, len(monos) * spinor_dim
 
 
 def solution_space(
@@ -373,11 +410,13 @@ def solution_dim(
     ops: Sequence[DiffOp], vars: VariableSet, spinor_dim: int, weighted_degree: int
 ) -> int:
     """Dimension of the solution slice without materialising a basis: the
-    corank of the constraint rows, with the columns taken in descending order
-    as ``int_kernel_rows`` takes them, which needs fewer row updates here."""
-    rows, ncols = _constraint_rows(ops, vars, spinor_dim, weighted_degree)
-    top = ncols - 1
-    return ncols - len(int_pivot_cols([{top - c: v for c, v in row.items()} for row in rows]))
+    corank of the constraint rows. Their columns are assembled over the
+    reversed ``_grade`` tuple, so elimination meets the monomials in
+    descending order as ``int_kernel_rows`` does, which needs fewer row
+    updates here; the corank does not depend on the column order."""
+    monos = _grade(vars, weighted_degree)[0][::-1]
+    rows, ncols = _constraint_rows(ops, vars, spinor_dim, weighted_degree, monos)
+    return ncols - len(int_pivot_cols(rows))
 
 
 def _as_poly(vars: VariableSet, spinor_dim: int, monos, vec) -> SpinorPoly:
@@ -391,7 +430,7 @@ def _as_poly(vars: VariableSet, spinor_dim: int, monos, vec) -> SpinorPoly:
 
 def basis_polynomials(vars: VariableSet, spinor_dim: int, weighted_degree: int, basis):
     """Reconstruct SpinorPoly objects from solution-space coordinate vectors."""
-    monos = monomial_basis(vars, weighted_degree)
+    monos = _grade(vars, weighted_degree)[0]
     return [_as_poly(vars, spinor_dim, monos, vec) for vec in basis.vectors]
 
 
@@ -478,7 +517,7 @@ class SlotSystem:
         rank), rank being that of the coefficient block of the free monomials.
 
         The first call for ``key`` lists the monomials of the degree in
-        ``monomial_basis`` order, the free ones first, and reduces the
+        ``_grade`` order, the free ones first, and reduces the
         coefficient matrix of ``ops`` over them into one :class:`RowFactor`,
         kept in ``_completions``; ``key`` must fix ops, degree and ``free``.
         Every call then maps ``base`` onto the data columns and makes one
@@ -489,9 +528,9 @@ class SlotSystem:
         """
         vars, s = base.vars, base.spinor_dim
         if key not in self._completions:
-            monos = monomial_basis(vars, degree)
-            unknown = [e for e in monos if free(e)]
-            monos = unknown + [e for e in monos if not free(e)]
+            grade = _grade(vars, degree)[0]
+            unknown = [e for e in grade if free(e)]
+            monos = unknown + [e for e in grade if not free(e)]
             rows, _ = _constraint_rows(ops, vars, s, degree, monos)
             data_col = {e: idx for idx, e in enumerate(monos) if idx >= len(unknown)}
             self._completions[key] = (monos, data_col, RowFactor(rows, len(unknown) * s))

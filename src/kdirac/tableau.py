@@ -18,6 +18,12 @@ that memo; its basis, the kernel above, is built on first read and checked.
 equations, one column per (multiset of q+1 covector indices, W-index), so a
 basis row is the symmetric tensor's entries at sorted index tuples.
 
+The multiset combinatorics is built once per (n, q) and shared read-only:
+``_contractions`` holds the number of ``multisets`` columns and, for each
+q-multiset m, the column of m + {i} for every covector index i.
+``_symmetric_rows`` reads it for ``prolongation_dim``, ``filtration_dims``
+and ``tensors``; the ranks are taken afresh each call.
+
 The Cartan filtration A_k intersects A with the span of the trailing vectors
 u^{k+1..n} of an ordered basis of V*. For symmetric tensors the filtration of
 a prolongation is the prolongation of the filtration, (A^(q))_k = (A_k)^(q),
@@ -48,7 +54,7 @@ kernel and rank, so no step needs the GaussRational view of a basis.
 import random as _random
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -235,23 +241,29 @@ def prolong(t: Tableau) -> Prolongation:
     return Prolongation(t)
 
 
+@cache
+def _contractions(n: int, q: int):
+    """(count, bases): count is the number of (q+1)-multisets of covector
+    indices 0..n-1, and bases holds, for each q-multiset m in
+    ``combinations_with_replacement`` order, the ``multisets`` column of
+    m + {i} for i = 0..n-1. Built once per (n, q) and shared read-only."""
+    pos = {m: c for c, m in enumerate(multisets(n, q + 1))}
+    return len(pos), tuple(tuple(pos[tuple(sorted(m + (i,)))] for i in range(n))
+                           for m in combinations_with_replacement(range(n), q))
+
+
 def _symmetric_rows(equations, n: int, w: int, q: int):
     """(rows, ncols): the equations of A^(q) on S^{q+1}V* (x) W, one row per
     multiset m of q covector indices and equation e of A, with e[i, w] at
     column (m + {i}, w), columns ordered by ``multisets``; each multiset
-    spans w columns."""
-    cols = multisets(n, q + 1)
-    pos = {m: c * w for c, m in enumerate(cols)}
+    spans w columns. The columns of m + {i} come from ``_contractions``."""
+    count, bases = _contractions(n, q)
+    split = [[(*divmod(coord, w), v) for coord, v in e.items()] for e in equations]
     rows = []
-    for m in combinations_with_replacement(range(n), q):
-        base = [pos[tuple(sorted(m + (i,)))] for i in range(n)]
-        for e in equations:
-            row = {}
-            for coord, v in e.items():
-                i, ww = divmod(coord, w)
-                row[base[i] + ww] = v
-            rows.append(row)
-    return rows, len(cols) * w
+    for base in bases:
+        base = [c * w for c in base]
+        rows += [{base[i] + ww: v for i, ww, v in e} for e in split]
+    return rows, count * w
 
 
 def prolongation_dim(t: Tableau) -> int:

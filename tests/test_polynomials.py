@@ -6,7 +6,7 @@ import pytest
 
 from kdirac import polynomials
 from kdirac.clifford import build_spinor_rep
-from kdirac.euclidean import EuclideanSystem, build_euclidean
+from kdirac.euclidean import EuclideanSystem, build_euclidean, chart_ops, chart_vars, cubic_dim_formula
 from kdirac.linalg import ExactMatrix, GaussRational, InvariantViolation, RowFactor
 from kdirac.parabolic import build_parabolic, lift_check
 from kdirac.polynomials import (
@@ -18,6 +18,7 @@ from kdirac.polynomials import (
     basis_polynomials,
     monomial_basis,
     scalar_multiply,
+    solution_dim,
     solution_space,
 )
 
@@ -374,3 +375,124 @@ class TestSlotSystem:
             with pytest.raises(ValueError, match=rf"matrix entry labels {labels} out of range"
                                                  r" 1 <= alpha <= 3, 1 <= i <= 2"):
                 call()
+
+
+def reference_constraint_rows(ops, vars, s, degree, monos=None):
+    """The per-monomial assembly, restated: for each source monomial and
+    term, lower the monomial and look its target up in a fresh index of the
+    shifted degree's ``monomial_basis``."""
+    if monos is None:
+        monos = monomial_basis(vars, degree)
+    rows = []
+    for op in ops:
+        target_deg = degree + op.weighted_shift()
+        if target_deg < 0:
+            continue
+        targets = {e: i for i, e in enumerate(monomial_basis(vars, target_deg))}
+        base = len(rows)
+        rows += [{} for _ in range(len(targets) * s)]
+        for m_idx, exps in enumerate(monos):
+            for var, cexp, cols in op._table:
+                e = exps[var]
+                if not e:
+                    continue
+                lowered = [a + b for a, b in zip(exps, cexp)]
+                lowered[var] -= 1
+                t_row = base + targets[tuple(lowered)] * s
+                for mu, column in enumerate(cols):
+                    for nu, (a, b) in column:
+                        row, col = rows[t_row + nu], m_idx * s + mu
+                        ca, cb = row.get(col, (0, 0))
+                        re, im = ca + e * a, cb + e * b
+                        if re or im:
+                            row[col] = (re, im)
+                        else:
+                            row.pop(col, None)
+    return rows, len(monos) * s
+
+
+def _systems():
+    """(name, ops, vars, s, free) for the oracle: the slot operators of the
+    k-Dirac systems, the p ones with weight-2 y variables and x-linear
+    coefficients, and the k = 2 chart operators that the extension
+    completes; ``free`` is a predicate that splits off a free-first order."""
+    out = []
+    for n, k in ((3, 2), (4, 2), (5, 2), (3, 3)):
+        sys = build_euclidean(n, k)
+        out.append((f"e({n},{k})", sys.ops, sys.vars, sys.s, lambda e, k=k: not any(e[:k])))
+    for n, k in ((3, 2), (3, 3)):
+        sys = build_parabolic(n, k)
+        nk = n * k
+        out.append((f"p({n},{k})", sys.ops, sys.vars, sys.s, lambda e, nk=nk: not any(e[nk:])))
+    for n in (3, 4):
+        sys = build_euclidean(n, 2)
+        trailing = (2 * n - 3, 2 * n - 2, 2 * n - 1)
+        out.append((f"chart e({n},2)", chart_ops(sys), chart_vars(n), sys.s,
+                    lambda e, t=trailing: sum(e[i] for i in t) > 1))
+    return out
+
+
+class TestConstraintRowsOracle:
+    """``_constraint_rows`` reads the ``_grade`` and ``_lowering`` tables and
+    builds, row for row, what the per-monomial loop builds, for the default,
+    reversed and free-first column orders at degrees 0..4."""
+
+    @pytest.mark.parametrize("case", _systems(), ids=lambda case: case[0])
+    def test_rows_match_the_per_monomial_loop(self, case):
+        _name, ops, vars, s, free = case
+        for degree in range(5):
+            monos = monomial_basis(vars, degree)
+            for order in (None, monos[::-1],
+                          [e for e in monos if free(e)] + [e for e in monos if not free(e)]):
+                got = _constraint_rows(ops, vars, s, degree, order)
+                assert got == reference_constraint_rows(ops, vars, s, degree, order)
+
+    def test_a_monomial_listed_twice_is_refused(self):
+        sys = build_euclidean(3, 2)
+        monos = monomial_basis(sys.vars, 2)
+        with pytest.raises(ValueError, match=r"monomial \(2, 0, 0, 0, 0, 0\) is listed twice"):
+            _constraint_rows(sys.ops, sys.vars, sys.s, 2, monos + monos[:1])
+
+    def test_a_subset_of_monomials_keeps_only_their_columns(self):
+        sys = build_parabolic(3, 2)
+        monos = monomial_basis(sys.vars, 3)[::3]
+        got = _constraint_rows(sys.ops, sys.vars, sys.s, 3, monos)
+        assert got == reference_constraint_rows(sys.ops, sys.vars, sys.s, 3, monos)
+
+
+class TestGradeTables:
+    """The tables are shared read-only, keyed by the whole variable set."""
+
+    def test_equal_names_with_other_weights_get_their_own_tables(self):
+        flat, weighted = VariableSet.of(["x", "y"]), VariableSet.of(["x", "y"], [1, 2])
+        assert polynomials._grade(flat, 2)[0] == ((2, 0), (1, 1), (0, 2))
+        assert polynomials._grade(weighted, 2)[0] == ((2, 0), (0, 1))
+        assert polynomials._lowering(flat, 2, 1, (0, 0)) == ((1, 2), (0, 1), (1, 2))
+        assert polynomials._lowering(weighted, 2, 1, (0, 0)) == ((1,), (0,), (1,))
+
+    def test_monomial_basis_is_a_fresh_list(self):
+        vs = VariableSet.of(["a", "b", "c"])
+        monos, index = polynomials._grade(vs, 2)
+        listed = monomial_basis(vs, 2)
+        assert isinstance(listed, list) and tuple(listed) == monos
+        listed.reverse()
+        listed.append((9, 9, 9))
+        assert polynomials._grade(vs, 2) == (monos, index)
+        assert monos == tuple(sorted(monos, reverse=True)) and (9, 9, 9) not in index
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_solution_dim_matches_the_basis_and_the_cubic_formula(self, n):
+        sys = build_euclidean(n, 2)
+        dims = {solution_dim(sys.ops, sys.vars, sys.s, 3),
+                solution_space(sys.ops, sys.vars, sys.s, 3).dim}
+        assert dims == {cubic_dim_formula(n, sys.s)}
+
+    def test_a_set_built_from_lists_keys_the_same_tables(self):
+        listed = VariableSet(["x", "y"], [1, 2])
+        assert listed == VariableSet.of(["x", "y"], [1, 2])
+        assert polynomials._grade(listed, 2) is polynomials._grade(VariableSet.of("xy", [1, 2]), 2)
+
+    def test_the_shared_index_cannot_be_written(self):
+        _monos, index = polynomials._grade(VariableSet.of("ab"), 1)
+        with pytest.raises(TypeError):
+            index[(9, 9)] = 0

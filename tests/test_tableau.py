@@ -621,3 +621,47 @@ class TestRootRoute:
         lifted = prolong(t).lifted
         assert lifted.source is t
         assert prolong(lifted).lifted.root is t
+
+
+def reference_symmetric_rows(equations, n, w, q):
+    """The per-multiset assembly, restated: a fresh index of the (q+1)-multiset
+    columns, then for each q-multiset m the columns of m + {i}."""
+    pos = {m: c * w for c, m in enumerate(column_multisets(n, q + 1))}
+    rows = []
+    for m in combinations_with_replacement(range(n), q):
+        base = [pos[tuple(sorted(m + (i,)))] for i in range(n)]
+        for e in equations:
+            row = {}
+            for coord, v in e.items():
+                i, ww = divmod(coord, w)
+                row[base[i] + ww] = v
+            rows.append(row)
+    return rows, len(pos) * w
+
+
+class TestSymmetricRowsOracle:
+    """``_symmetric_rows`` reads the shared ``_contractions`` table and
+    builds, row for row, what the per-multiset loop builds."""
+
+    def test_random_equations(self):
+        rng = random.Random(53)
+        for n in range(1, 8):
+            for q in range(4):
+                w = rng.randint(1, 3)
+                equations = [{c: (rng.randint(-3, 3), rng.randint(-1, 1))
+                              for c in range(n * w) if rng.random() < 0.4}
+                             for _ in range(rng.randint(0, 3))]
+                assert (tableau._symmetric_rows(equations, n, w, q)
+                        == reference_symmetric_rows(equations, n, w, q))
+
+    def test_paper_equations(self):
+        for t in (build_euclidean(3, 2).tableau(), build_parabolic(3, 2).tableau()):
+            for q in range(3):
+                assert (tableau._symmetric_rows(t.equations, t.dim_V, t.dim_W, q)
+                        == reference_symmetric_rows(t.equations, t.dim_V, t.dim_W, q))
+
+    def test_contractions_are_shared_and_read_only(self):
+        assert tableau._contractions(4, 1) is tableau._contractions(4, 1)
+        count, bases = tableau._contractions(4, 1)
+        assert count == comb(5, 2) and len(bases) == 4
+        assert all(isinstance(base, tuple) and len(base) == 4 for base in bases)
