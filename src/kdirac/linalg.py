@@ -16,10 +16,13 @@ reduces each, fraction free (cross-multiplication updates plus content
 stripping), against any ``held`` rows, which it never changes, then the rows
 kept so far, keyed by leading column. The greedy flag search in ``tableau``
 holds its state that way, so a reduction returns only the new pivots, the
-rank added. Of two rows leading at one column it keeps the one with the
-smaller lead |re| + |im|, then the fewer entries (a local Markowitz-style
-rule), which keeps fill and entry growth low on the sparse symbol matrices
-built elsewhere in this package and on the dense rows of random flags.
+rank added; it reduces a block only while its capped gain bound can win,
+once per line modulo the chosen covectors U, as (λc + u) (x) W lies in
+c (x) W + U (x) W (rules (a)-(c) of ``tableau._greedy_ordering``). Of two
+rows leading at one column it keeps the one with the smaller lead
+|re| + |im|, then the fewer entries (a local Markowitz-style rule), which
+keeps fill and entry growth low on the sparse symbol matrices built
+elsewhere in this package and on the dense rows of random flags.
 ``int_pivot_cols`` reads the column rank profile off its
 leads; ``_rref`` back-substitutes its rows into the canonical reduced echelon
 form, behind ``int_kernel_rows`` (the kernel) and :class:`RowFactor` (one
@@ -359,7 +362,8 @@ def _rref(int_rows: Sequence[dict], limit=None):
             out, d = done[c]
             _axpy(row, out, (d, 0), row[c])
         done[col] = _normalise(row, col)
-    den = lcm(*(d for _, d in done.values()))
+    # a list: CPython resizes a tuple unpacked from a generator, which piles up in its free lists
+    den = lcm(*[d for _, d in done.values()])
     return [_scaled(done[c][0], den // done[c][1]) for c in cols], den, cols, rest
 
 

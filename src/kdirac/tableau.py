@@ -37,11 +37,11 @@ elimination) that fall in the prefix. Characters are the filtration
 increments and the test compares dim A^(1) with s_1 + 2 s_2 + ... + n s_n.
 An :class:`OrderedBasis` is checked invertible once, when built.
 
-The greedy ordering search reduces each candidate's W-block once, by
-``linalg._echelon`` against the state held fixed, then re-reduces only the
-rows it kept. A gain only shrinks and ties go to the earliest candidate, so
-candidates whose stored gain cannot win are skipped; the flag is the one a
-full search gives.
+The greedy ordering search is a lazy scan: a candidate's W-block is reduced
+by ``linalg._echelon`` against the state held fixed only while its gain bound,
+w at first with nothing reduced (a) and capped at the room left (b), can win,
+and once per line modulo the chosen span U (c), as (λc + u) (x) W lies in
+c (x) W + U (x) W. The flag is the one a full search gives.
 
 Everything here runs on Gaussian-integer pair rows: a tableau basis is a
 :class:`SubspaceBasis`, whose integer rows (the canonical basis times one
@@ -63,6 +63,8 @@ from .linalg import (
     InvariantViolation,
     SubspaceBasis,
     _echelon,
+    _normalise,
+    _rref,
     int_kernel_rows,
     int_pivot_cols,
     kernel_rows,  # noqa: F401 -- bench/test_checks.py traces tableau.kernel_rows
@@ -387,18 +389,21 @@ def _greedy_ordering(t: Tableau) -> OrderedBasis:
     minimises the next trailing filtration dimension; ties go to the earliest
     candidate, so the ordering is reproducible.
 
-    Each W-block is reduced once against the state held fixed (``_echelon``
-    with ``held``); its new pivot rows are kept, keyed by lead, and their
-    number is the gain. A step re-reduces only a candidate's kept rows. The
-    gain never grows with the state (rank is submodular) and ties go to the
-    earliest candidate, so a candidate whose stored gain is at most the
-    step's best cannot win and is skipped (Minoux's lazy greedy rule): the
-    flag is the one a full re-reduction at every step gives. A candidate
-    whose covector adds no pivot to the chosen ones is dropped with its rows
-    when next examined; the span only grows, so it could never be picked.
-    Rows are Gaussian-integer pairs; ranks do not depend on row scaling, so
-    every count is exact over Q(i). The chosen covectors span V*, so
-    dim A + gains = dim V * dim W.
+    The scan is Minoux's lazy greedy: a gain never grows with the state (rank
+    is submodular), so a candidate whose bound is at most the step's best is
+    skipped; one that is not is reduced by ``_echelon`` against the state held
+    fixed, and its new pivot rows, their number the gain, are kept.
+    (a) A candidate starts at bound w, the rank of c (x) W (its leads
+    min(c)·w + ww are distinct); its raw rows are built when first reduced.
+    (b) Bounds are capped at the room n·w − dim state; a gain equal to the
+    room ends the step, so at room 0 the first covector outside the chosen
+    span U is taken unreduced. (c) Candidates whose lines agree modulo U share
+    one gain per step, keyed by c reduced by the ``_rref`` of U with lead 1:
+    (λc + u) (x) W lies in c (x) W + U (x) W, and U (x) W in the state. Only
+    a class's first candidate is reduced and later ones tie at best, so the
+    winner holds fresh rows. A candidate in U is dropped. Ranks do not depend
+    on row scaling, so every count is exact over Q(i); the chosen covectors
+    span V*, so dim A + gains = dim V * dim W.
     """
     n, w = t.dim_V, t.dim_W
     covectors = [{i: (1, 0)} for i in range(n)]
@@ -407,31 +412,37 @@ def _greedy_ordering(t: Tableau) -> OrderedBasis:
             covectors.append({i: (1, 0), j: (1, 0)})
             covectors.append({i: (1, 0), j: (-1, 0)})
     state = dict(zip(t.basis.pivots, t.basis.rows))
-    candidates = [
-        (c, _echelon([{slot * w + ww: v for slot, v in c.items()} for ww in range(w)],
-                     held=state)[0])
-        for c in covectors
-    ]
-    vstate = {}
+    candidates = [[w, c, None] for c in covectors]  # bound, covector, rows kept
     chosen_back = []
     for _ in range(n):
-        best, best_count = None, -1
-        for k, (cand, residuals) in enumerate(candidates):
-            if len(residuals) <= best_count:
+        room = n * w - len(state)
+        u_rows, _, cols, _ = _rref(chosen_back)
+        # U's pivot columns first: a covector reduced past them by U's rows is c mod U
+        order = {col: k for k, col in enumerate(cols + [c for c in range(n) if c not in cols])}
+        u_held = {order[p]: {order[c]: v for c, v in r.items()} for p, r in zip(cols, u_rows)}
+        gains, best, best_gain = {}, None, -1
+        for k, cand in enumerate(candidates):
+            if min(cand[0], room) <= best_gain:
                 continue
-            vpivot = _echelon([cand], held=vstate)[0]
-            if not vpivot:
-                candidates[k] = (None, {})  # in the chosen span for good
+            line = _echelon([{order[c]: v for c, v in cand[1].items()}], held=u_held)[0]
+            line = next(iter(line.values()), None)
+            if line is None:
+                cand[1] = None  # in the chosen span for good
                 continue
-            kept = _echelon(residuals.values(), held=state)[0]
-            candidates[k] = (cand, kept)
-            if len(kept) > best_count:
-                best, best_count, best_vpivot = k, len(kept), vpivot
-        cand, rows = candidates[best]
-        candidates = [c for k, c in enumerate(candidates) if c[0] is not None and k != best]
-        state.update(rows)
-        vstate.update(best_vpivot)
-        chosen_back.append(cand)
+            key = frozenset(_normalise(line, min(line))[0].items())
+            if key not in gains:
+                rows = cand[2] if cand[2] is not None else {
+                    ww: {s * w + ww: v for s, v in cand[1].items()} for ww in range(w)}
+                cand[2] = _echelon(rows.values(), held=state)[0] if room else {}
+                gains[key] = len(cand[2])
+            cand[0] = gains[key]
+            if cand[0] > best_gain:
+                best, best_gain = k, cand[0]
+                if best_gain == room:
+                    break
+        state.update(candidates[best][2])
+        chosen_back.append(candidates[best][1])
+        candidates = [c for k, c in enumerate(candidates) if c[1] is not None and k != best]
     if len(state) != n * w:
         raise InvariantViolation(f"{t.system} level {t.level}, ordering 'greedy': "
                                  f"dim A + gains = {len(state)} != {n * w} = dim V * dim W")

@@ -22,7 +22,6 @@ from kdirac.linalg import GaussRational, RowFactor, rank_rows
 from kdirac.polynomials import (
     SpinorPoly,
     apply_op,
-    basis_polynomials,
     scalar_multiply,
     solution_space,
 )

@@ -32,7 +32,8 @@ def tableau_one_too_large(monkeypatch):
 def state_gains_lost(monkeypatch):
     """The greedy search's reductions against its state in V* (x) W, whose
     held pivots reach past dim V = 6 on e(3,2), add no pivot; the covector
-    checks, held in V*, stay exact."""
+    reductions modulo the chosen span, held in V*, stay exact. The room left
+    stays 4, so the room cap never reads the state as full."""
     echelon = tableau._echelon
     monkeypatch.setattr(tableau, "_echelon", lambda rows, held: (
         ({}, []) if max(held, default=0) >= 6 else echelon(rows, held=held)))

@@ -20,7 +20,6 @@ from kdirac.linalg import (
 )
 from kdirac.parabolic import build_parabolic
 from kdirac.tableau import (
-    CartanReport,
     OrderedBasis,
     Tableau,
     cartan_test,
@@ -432,8 +431,30 @@ class TestGreedyFlags:
         rows = search_ordering(t, "greedy").rows
         assert rows == reversed_identity(t.dim_V)
 
+    @pytest.mark.parametrize("build,n,level,reductions", [
+        (build_euclidean, 3, 0, 3), (build_euclidean, 4, 0, 3), (build_parabolic, 3, 0, 3),
+        (build_euclidean, 3, 1, 54),
+    ])
+    def test_block_reductions_counted(self, monkeypatch, build, n, level, reductions):
+        """Reductions of a W-block against the state in V* (x) W, whose held
+        pivots reach past dim V, unlike those of the chosen covectors. At
+        level 0 the state is full after k = 3 steps: each step's first
+        candidate reaches the bound w that every other one starts at, the
+        third fills the room, and the later steps reduce nothing."""
+        t = build(n, 3).tableau()
+        if level:
+            t = prolong(t).lifted
+        calls = []
+        echelon = tableau._echelon
+        monkeypatch.setattr(tableau, "_echelon", lambda rows, held: (
+            calls.append(max(held, default=0) >= t.dim_V), echelon(rows, held=held))[1])
+        search_ordering(t, "greedy")
+        assert sum(calls) == reductions
+
 
 ENTRIES = (GR(1), GR(-1), GR(Fraction(1, 2)), GR(0, 1), GR(1, 1), GR(Fraction(-1, 2), 2))
+UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+SCALARS = ((0, 0), (1, 0), (-1, 0), (0, 1), (2, -1))
 
 
 @st.composite
@@ -491,6 +512,47 @@ class TestGreedyOracle:
     def test_matches_brute_force_rule_up_to_dim_V_5(self, t):
         ob = search_ordering(t, "greedy")
         assert ob.rows == to_int_rows(brute_force_greedy(t))
+
+    @pytest.mark.parametrize("build", [build_euclidean, build_parabolic], ids=["e(3,2)", "p(3,2)"])
+    def test_matches_brute_force_rule_on_level1(self, build):
+        lifted = prolong(build(3, 2).tableau()).lifted
+        assert search_ordering(lifted, "greedy").rows == to_int_rows(brute_force_greedy(lifted))
+
+    def test_sum_and_difference_are_distinct_lines(self):
+        """After e0, e1 - e2 adds more rank than e1 and e1 + e2, which come
+        before it: a key that merged e1 + e2 and e1 - e2, lines of one support,
+        would take e1."""
+        rows = [{0: -1, 2: -1, 5: 1, 6: -1}, {3: -1, 6: -1}, {1: 1, 3: -1, 7: -1}]
+        t = Tableau(3, 3, SubspaceBasis.from_vectors(9, rows))
+        expected = pairs([{1: 1}, {1: 1, 2: -1}, {0: 1}])
+        assert search_ordering(t, "greedy").rows == expected == to_int_rows(brute_force_greedy(t))
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_tableaux(max_V=5, max_W=3), st.data())
+    def test_lines_equal_modulo_the_span_add_equal_rank(self, t, data):
+        """The rule that lets candidates share a gain: for U spanned by
+        candidate covectors, a unit λ and u in U, A + (U + c) (x) W and
+        A + (U + (λc + u)) (x) W have one rank, as each block lies in the
+        other plus U (x) W."""
+        n, w = t.dim_V, t.dim_W
+        covectors = [{i: (1, 0)} for i in range(n)] + [
+            {i: (1, 0), j: (s, 0)} for i in range(n) for j in range(i + 1, n) for s in (1, -1)]
+        span = data.draw(st.lists(st.sampled_from(covectors), max_size=n))
+        c = data.draw(st.sampled_from(covectors))
+        moved = {}
+        terms = [(data.draw(st.sampled_from(UNITS)), c)] + [
+            (data.draw(st.sampled_from(SCALARS)), u) for u in span]
+        for (la, lb), vec in terms:
+            for col, (a, b) in vec.items():
+                re, im = moved.get(col, (0, 0))
+                moved[col] = (re + la * a - lb * b, im + la * b + lb * a)
+        moved = {col: v for col, v in moved.items() if v != (0, 0)}
+
+        def rank(covs):
+            blocks = [{s * w + ww: v for s, v in cov.items()} for cov in covs for ww in range(w)]
+            return len(int_pivot_cols(t.basis.rows + blocks))
+
+        assert rank(span + [c]) == rank(span + [moved])
 
 
 def chain_tensors(t):

@@ -8,7 +8,6 @@ from kdirac.weyl import (
     RootSystem,
     half_spin_dim,
     module_table,
-    so_factor_dim,
     weyl_dim,
 )
 
