@@ -2,17 +2,13 @@
 ordering search and the torsion target space.
 
 A tableau is a subspace A of V* (x) W, stored over coordinates with the
-V*-index major and the W-index minor. Its first prolongation is the set of
-symmetric 2-tensors whose contractions against every covector slot stay in A;
-computationally that is the kernel of one sparse constraint matrix whose rows
-are indexed by (unordered covector pair, W-coordinate).
-
-``prolongation_dim`` takes a smaller rank: for the tableau A^(q) q levels
-below its root A, A^(q+1) is the kernel of the equations of A (its
-annihilator) on every (q+1)-fold contraction of S^{q+2}V* (x) W (Seiler,
-*Involution*, ch. 6). The equations, and each dim A^(q+1), are computed once
-per root tableau. ``prolong`` solves nothing: a lifted tableau's dimension is
-that memo; its basis, the kernel above, is built on first read and checked.
+V*-index major and the W-index minor. Its q-th prolongation A^(q) is the
+kernel of the equations of A (its annihilator) on every q-fold contraction of
+S^{q+1}V* (x) W (Seiler, *Involution*, ch. 6); the equations are computed
+once per root tableau, and every quantity of A^(q) is read off them.
+``prolongation_dim`` gives dim A^(q+1) as a corank on S^{q+2}V* (x) W, kept
+by the root. ``prolong`` solves nothing: a lifted tableau, A^(q) inside
+V* (x) A^(q-1), holds its source and level and no basis.
 
 ``tensors`` takes the canonical basis of A^(q) as the kernel of the same
 equations, one column per (multiset of q+1 covector indices, W-index), so a
@@ -41,14 +37,13 @@ The greedy ordering search is a lazy scan: a candidate's W-block is reduced
 by ``linalg._echelon`` against the state held fixed only while its gain bound,
 w at first with nothing reduced (a) and capped at the room left (b), can win,
 and once per line modulo the chosen span U (c), as (λc + u) (x) W lies in
-c (x) W + U (x) W. The flag is the one a full search gives.
+c (x) W + U (x) W. The flag is the one a full search gives. Its state at
+q >= 1 is ``tensors(root, q)`` contracted into V* (x) A^(q-1).
 
-Everything here runs on Gaussian-integer pair rows: a tableau basis is a
-:class:`SubspaceBasis`, whose integer rows (the canonical basis times one
-denominator) feed the constraint matrix of the prolongation, the equations
-behind the prolongation dimension and the filtration, the ordering search and
-the symmetric tensors of a prolongation. Uniform scaling keeps every
-kernel and rank, so no step needs the GaussRational view of a basis.
+Everything here runs on Gaussian-integer pair rows: a root's basis is a
+:class:`SubspaceBasis` whose integer rows, the canonical basis times one
+denominator, give its equations; uniform scaling keeps every kernel and rank,
+so no step needs the GaussRational view of a basis.
 """
 
 import random as _random
@@ -78,7 +73,7 @@ class Tableau:
     sets the first, as "e(3,2)", and a prolongation raises the level by one.
     ``source`` is the tableau this one is the first prolongation of, or None
     for a tableau built directly; ``root`` is the end of that chain. A lifted
-    tableau's dim is read off the root's equations, its basis built on first read.
+    tableau has no basis: its dim and all else are read off the root's equations.
     """
 
     system = "tableau"
@@ -167,42 +162,16 @@ class CartanReport:
 # ---------------------------------------------------------------------------
 
 
-def _prolongation_rows(t: Tableau):
-    """Gaussian-integer constraint rows for coefficients c[(slot, basis index)]
-    of elements of V* (x) A: row (i<j, w) demands the (i,j,w) and (j,i,w)
-    tensor entries agree. Columns are slot-major: col = i * dim(A) + p.
-
-    Each entry is plus or minus an entry of the integer basis rows, the basis
-    scaled by one common denominator, which scales every column alike and so
-    keeps the kernel."""
-    a = t.dim
-    rows = {}
-    for p, vec in enumerate(t.basis.rows):
-        for coord, (re, im) in vec.items():
-            j, w = divmod(coord, t.dim_W)
-            for i in range(j):
-                rows.setdefault((i, j, w), {})[i * a + p] = (re, im)
-            for l in range(j + 1, t.dim_V):
-                rows.setdefault((j, l, w), {})[l * a + p] = (-re, -im)
-    return list(rows.values())
-
-
 class Prolongation:
-    """Result of prolonging a tableau.
-
-    ``lifted`` presents the prolongation as a tableau inside V* (x) A, ready
-    for the next round of the test; its ``source`` is the prolonged tableau.
-    Its dimension is ``prolongation_dim(source)``, from the root's equations;
-    its basis, the kernel of ``_prolongation_rows(source)``, is built when
-    first read and cross-checked against that dimension.
-    """
+    """Result of prolonging a tableau: ``lifted`` presents the prolongation as
+    a tableau inside V* (x) A, whose ``source`` is the prolonged tableau."""
 
     def __init__(self, source: Tableau):
         self.lifted = _Lifted(source)
 
 
 class _Lifted(Tableau):
-    """The ``lifted`` tableau of a :class:`Prolongation`."""
+    """A^(q) inside V* (x) A^(q-1), the ``lifted`` of a Prolongation; no basis."""
 
     def __init__(self, source: Tableau):
         self.dim_V, self.dim_W = source.dim_V, source.dim
@@ -211,15 +180,6 @@ class _Lifted(Tableau):
     @property
     def dim(self) -> int:
         return prolongation_dim(self.source)
-
-    @cached_property
-    def basis(self) -> SubspaceBasis:
-        s = self.source
-        basis = int_kernel_rows(_prolongation_rows(s), s.dim_V * s.dim)
-        if basis.dim != self.dim:
-            raise InvariantViolation(f"{self.system} level {self.level}: V* (x) A kernel "
-                                     f"dimension {basis.dim} != {self.dim} from the equations")
-        return basis
 
 
 def multisets(n: int, d: int) -> list:
@@ -233,13 +193,16 @@ def tensors(t: Tableau, q: int) -> list:
     """Canonical basis rows of A^(q), A = ``t``, as symmetric tensors: the
     kernel of the equations of A on S^{q+1}V* (x) W, with column c * dim W + w
     the entry at the c-th of ``multisets(dim V, q + 1)`` and W-index w."""
+    if q < 0 or t.source is not None:
+        raise ValueError(f"{t.system} level {t.level}: tensors need a root tableau and "
+                         f"q >= 0, got q = {q}")
     rows, ncols = _symmetric_rows(t.equations, t.dim_V, t.dim_W, q)
     return int_kernel_rows(rows, ncols).rows
 
 
 def prolong(t: Tableau) -> Prolongation:
-    """First prolongation of a tableau: its dimension comes from the root's
-    equations, its basis is built and cross-checked when first read."""
+    """First prolongation of a tableau: it solves nothing, and its dimension
+    comes from the root's equations."""
     return Prolongation(t)
 
 
@@ -380,6 +343,31 @@ def cartan_test(t: Tableau, ob: OrderedBasis = None) -> CartanReport:
 # ---------------------------------------------------------------------------
 
 
+def _greedy_state(t: Tableau) -> dict:
+    """t in V* (x) W as echelon rows by lead column. At q >= 1 levels below
+    the root, W = A^(q-1) in the basis ``tensors(root, q - 1)``, whose row p
+    has den at its lead (m_p, w_p) and 0 at the other leads, so the
+    contraction of T in A^(q) by e_i has coordinate T[m_p + {i}, w_p] / den
+    at p. Rows are kept times den; the map is injective, so the rank is dim t."""
+    root = t.root
+    q = t.level - root.level
+    if not q:
+        return dict(zip(t.basis.pivots, t.basis.rows))
+    n, w = root.dim_V, root.dim_W
+    heads, pos = multisets(n, q), {m: c for c, m in enumerate(multisets(n, q + 1))}
+    leads = [divmod(min(row), w) for row in tensors(root, q - 1)]
+    a, into = len(leads), {}  # column of T -> the columns i * dim W + p it fills
+    for p, (c, wp) in enumerate(leads):
+        for i in range(n):
+            into.setdefault(pos[tuple(sorted(heads[c] + (i,)))] * w + wp, []).append(i * a + p)
+    state = _echelon([{dst: v for src, v in row.items() for dst in into.get(src, ())}
+                      for row in tensors(root, q)])[0]
+    if len(state) != t.dim:
+        raise InvariantViolation(f"{t.system} level {t.level}, ordering 'greedy': "
+                                 f"state rank {len(state)} != {t.dim} = dim A")
+    return state
+
+
 def _greedy_ordering(t: Tableau) -> OrderedBasis:
     """Build the ordered basis backwards along the trailing flag.
 
@@ -403,7 +391,9 @@ def _greedy_ordering(t: Tableau) -> OrderedBasis:
     a class's first candidate is reduced and later ones tie at best, so the
     winner holds fresh rows. A candidate in U is dropped. Ranks do not depend
     on row scaling, so every count is exact over Q(i); the chosen covectors
-    span V*, so dim A + gains = dim V * dim W.
+    span V*, so dim A + gains = dim V * dim W. The state starts at
+    ``_greedy_state``; a gain is a rank of A^(q) + U (x) A^(q-1), which does
+    not depend on the basis of A^(q-1) that state is written in.
     """
     n, w = t.dim_V, t.dim_W
     covectors = [{i: (1, 0)} for i in range(n)]
@@ -411,7 +401,7 @@ def _greedy_ordering(t: Tableau) -> OrderedBasis:
         for j in range(i + 1, n):
             covectors.append({i: (1, 0), j: (1, 0)})
             covectors.append({i: (1, 0), j: (-1, 0)})
-    state = dict(zip(t.basis.pivots, t.basis.rows))
+    state = _greedy_state(t)
     candidates = [[w, c, None] for c in covectors]  # bound, covector, rows kept
     chosen_back = []
     for _ in range(n):

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from conftest import lifted_basis
 from kdirac import euclidean, polynomials
 from kdirac.clifford import build_spinor_rep
 from kdirac.euclidean import (
@@ -65,7 +66,7 @@ class TestLevelZero:
 
     def test_quadratic_dim_both_routes(self, sys32):
         t = sys32.tableau()
-        assert prolong(t).lifted.basis.dim == 18
+        assert lifted_basis(prolong(t).lifted).dim == 18
         assert sys32.monogenic_space(2).dim == 18
         assert quadratic_dim_formula(3, 2, 2) == 18
 

@@ -5,6 +5,7 @@ checking the Clifford relations."""
 
 import pytest
 
+from conftest import lifted_basis
 from kdirac import linalg, tableau
 from kdirac.clifford import build_spinor_rep
 from kdirac.euclidean import build_euclidean
@@ -45,10 +46,14 @@ def test_counter_sees_the_api_edge(system, built):
 
 
 def test_prolongation_and_slices(system, built):
+    """Prolonging twice, the greedy search at level 1, which reads A^(1) and
+    A off ``tensors``, and a solution slice build no GaussRational."""
     t = system.tableau()
     lifted = prolong(t).lifted
-    assert prolongation_dim(t) == lifted.basis.dim
-    assert prolongation_dim(lifted) == prolong(lifted).lifted.basis.dim
+    expected = lifted_basis(lifted).dim, lifted_basis(prolong(lifted).lifted).dim
+    built.clear()
+    assert (prolongation_dim(t), prolongation_dim(lifted)) == expected
+    search_ordering(lifted, "greedy")
     assert solution_dim(system.ops, system.vars, system.s, 3) > 0
     assert built == []
 

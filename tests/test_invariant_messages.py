@@ -74,11 +74,11 @@ CASES = {
         lambda: build_parabolic(3, 2),
         ["p(3,2)", "[L_11, L_12] = g_11 d_12", "on the probe y_1_2",
          "got (-1) 1 e0, expected (1) 1 e0"]),
-    "lifted basis": (
-        lambda mp: mp.setattr(tableau, "_prolongation_rows",
-                              lambda t, rows=tableau._prolongation_rows: rows(t)[1:]),
-        lambda: prolong(build_euclidean(3, 2).tableau()).lifted.basis,
-        ["e(3,2) level 1", "V* (x) A kernel dimension 19 != 18"]),
+    "greedy state": (
+        lambda mp: mp.setattr(tableau, "tensors", lambda t, q, rows=tableau.tensors:
+                              rows(t, q)[1:] if q else rows(t, q)),
+        lambda: tableau.search_ordering(prolong(build_euclidean(3, 2).tableau()).lifted, "greedy"),
+        ["e(3,2) level 1, ordering 'greedy'", "state rank 17 != 18 = dim A"]),
     "second graded split": (
         ranks_off(parabolic),
         lambda: parabolic.parabolic_prolongation_decomposition(build_parabolic(3, 2), level=2),

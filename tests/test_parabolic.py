@@ -201,17 +201,16 @@ class TestDecompositions:
     def test_second_split_n4(self, psys42):
         assert parabolic_prolongation_decomposition(psys42, level=2) == (200, 80, 24, 4)
 
-    def test_splits_do_not_prolong(self, monkeypatch, psys32):
-        """Both splits read the tableau's equations; the lifted route is off."""
+    def test_splits_do_not_prolong(self, count_calls, psys32):
+        """Both splits read the tableau's equations: each solves one kernel,
+        that of ``tensors``, and none over V* (x) A."""
         sys32 = build_euclidean(3, 2)
-
-        def refuse(t):
-            raise AssertionError("a split prolonged its tableau")
-
-        monkeypatch.setattr(tableau, "_prolongation_rows", refuse)
+        assert all(s.tableau().equations for s in (psys32, sys32))  # warmed first: kernels too
+        calls = count_calls([(tableau, "int_kernel_rows")])
         assert parabolic_prolongation_decomposition(psys32) == (18, 8, 2)
         assert parabolic_prolongation_decomposition(psys32, level=2) == (32, 18, 8, 2)
         assert quadratic_component_dims(sys32) == (18, 0)
+        assert calls == {"int_kernel_rows": 3}
 
 
 class TestWeightedSlices:

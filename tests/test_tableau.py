@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
+from conftest import lifted_basis
 from kdirac import linalg, tableau
 from kdirac.euclidean import build_euclidean, level1_ordering
 from kdirac.linalg import (
@@ -56,7 +57,7 @@ def column_multisets(n, d):
 class TestProlong:
     def test_zero_tableau(self):
         t = Tableau.zero(3, 2)
-        assert prolong(t).lifted.basis.dim == 0
+        assert lifted_basis(prolong(t).lifted).dim == 0
         assert prolongation_dim(t) == 0
 
     @pytest.mark.parametrize("dim_V,dim_W", [(2, 1), (3, 2), (4, 3)])
@@ -64,7 +65,7 @@ class TestProlong:
         t = Tableau.full(dim_V, dim_W)
         p = prolong(t)
         expected = comb(dim_V + 1, 2) * dim_W
-        assert p.lifted.basis.dim == expected
+        assert lifted_basis(p.lifted).dim == expected
         assert prolongation_dim(t) == expected
 
     def test_raw_slices_stay_in_tableau(self):
@@ -84,7 +85,8 @@ class TestProlong:
                              ids=["e(3,2)", "p(3,2)"])
     def test_second_prolongation_tensors(self, build, expected):
         t = build(3, 2).tableau()
-        assert len(tensors(t, 2)) == prolong(prolong(t).lifted).lifted.basis.dim == expected
+        second = prolong(prolong(t).lifted).lifted
+        assert len(tensors(t, 2)) == lifted_basis(second).dim == expected
 
 
 class TestFiltration:
@@ -155,7 +157,7 @@ def sympy_filtration_dims(t, ob, dense=None):
         change = [[gaussian(v if isinstance(v, GR) else GR(v)) for v in row] for row in dense]
     inv_t = DomainMatrix(change, (n, n), QQ_I).inv().transpose()
     rows = []
-    for vec in t.basis.vectors:
+    for vec in lifted_basis(t).vectors:
         m = [[gaussian(vec.get(j * w + c, GR(0))) for c in range(w)] for j in range(n)]
         transformed = (inv_t * DomainMatrix(m, (n, w), QQ_I)).to_list()
         rows.append([x for row in transformed for x in row])
@@ -422,6 +424,17 @@ class TestGreedyFlags:
         lifted = prolong(build(4, 3).tableau()).lifted
         assert search_ordering(lifted, "greedy").rows == pairs(expected)
 
+    @pytest.mark.parametrize("build,n,expected", [
+        (build_euclidean, 3, [{4: 1}, {3: 1}, {2: 1}, {2: 1, 5: 1}, {1: 1}, {0: 1}]),
+        (build_euclidean, 4, [{7: 1}, {6: 1}, {4: 1}, {3: 1}, {2: 1}, {2: 1, 5: 1}, {1: 1},
+                              {0: 1}]),
+        (build_parabolic, 3, [{6: 1}, {4: 1}, {3: 1}, {2: 1}, {2: 1, 5: 1}, {1: 1}, {0: 1}]),
+    ], ids=["e(3,2)", "e(4,2)", "p(3,2)"])
+    def test_level2_k2(self, build, n, expected):
+        """q = 2: the state reads W = A^(1) off ``tensors(root, 1)``."""
+        t = prolong(prolong(build(n, 2).tableau()).lifted).lifted
+        assert search_ordering(t, "greedy").rows == pairs(expected)
+
     @pytest.mark.parametrize(
         "build,n,k",
         [(build_euclidean, 3, 3), (build_euclidean, 4, 3), (build_parabolic, 3, 3)],
@@ -446,8 +459,8 @@ class TestGreedyFlags:
             t = prolong(t).lifted
         calls = []
         echelon = tableau._echelon
-        monkeypatch.setattr(tableau, "_echelon", lambda rows, held: (
-            calls.append(max(held, default=0) >= t.dim_V), echelon(rows, held=held))[1])
+        monkeypatch.setattr(tableau, "_echelon", lambda rows, held=None: (
+            calls.append(max(held or (), default=0) >= t.dim_V), echelon(rows, held=held))[1])
         search_ordering(t, "greedy")
         assert sum(calls) == reductions
 
@@ -485,7 +498,7 @@ def brute_force_greedy(t):
     def rank(rows):
         return len(int_pivot_cols(to_int_rows(rows)))
 
-    state = list(t.basis.vectors)
+    state = list(lifted_basis(t).vectors)
     chosen = []
     for _ in range(n):
         best, best_gain = None, -1
@@ -555,15 +568,38 @@ class TestGreedyOracle:
         assert rank(span + [c]) == rank(span + [moved])
 
 
+def reference_state(t):
+    basis = lifted_basis(t)
+    return dict(zip(basis.pivots, basis.rows))
+
+
+class TestGreedyState:
+    """The greedy state at q >= 1, ``tensors(root, q)`` contracted into
+    V* (x) A^(q-1) written in the basis ``tensors(root, q - 1)``, gives the
+    flag that the reference kernel over V* (x) A^(q-1) gives: every gain is a
+    rank of A^(q) + U (x) A^(q-1), whatever the basis of A^(q-1)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_tableaux(max_V=4))
+    def test_flag_matches_the_reference_state_at_levels_1_and_2(self, t):
+        for _ in range(2):
+            t = prolong(t).lifted
+            ours = search_ordering(t, "greedy").rows
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(tableau, "_greedy_state", reference_state)
+                assert search_ordering(t, "greedy").rows == ours
+
+
 def chain_tensors(t):
     """The basis rows of ``t``, q levels below its root, expanded down the
     prolongation chain into rows over (V*)^(x)(q+1) (x) W of the root,
     slot-major: each step substitutes the source's basis rows for the columns
     i * dim(source) + p."""
-    rows = t.basis.rows
+    rows = lifted_basis(t).rows
     while t.source is not None:
         t = t.source
-        a, ambient, basis = t.dim, t.basis.ambient_dim, t.basis.rows
+        source = lifted_basis(t)
+        a, ambient, basis = source.dim, source.ambient_dim, source.rows
         expanded = []
         for c in rows:
             x = {}
@@ -616,6 +652,15 @@ def assert_tensors_match_chain(t):
 
 
 class TestTensorsOracle:
+    @pytest.mark.parametrize("lifts,q", [(0, -1), (0, -2), (1, 0)])
+    def test_negative_level_or_lifted_tableau_refused(self, lifts, q):
+        t = build_euclidean(3, 2).tableau()
+        for _ in range(lifts):
+            t = prolong(t).lifted
+        with pytest.raises(ValueError, match=rf"^e\(3,2\) level {lifts}: tensors need a root "
+                                             rf"tableau and q >= 0, got q = {q}$"):
+            tensors(t, q)
+
     @settings(max_examples=30, deadline=None)
     @given(small_tableaux())
     def test_small_tableaux(self, t):
@@ -630,35 +675,35 @@ class TestTensorsOracle:
 
 class TestRootRoute:
     """dim A^(q+1) from the root's equations on S^{q+2}V* (x) W against the
-    kernel of the lifted constraint matrix over V* (x) A^(q)."""
+    reference kernel over V* (x) A^(q), ``lifted_basis``."""
 
     @settings(max_examples=60, deadline=None)
     @given(small_tableaux(max_V=4))
     def test_matches_lifted_route_at_depths_0_and_1(self, t):
         lifted = prolong(t).lifted
-        assert prolongation_dim(t) == lifted.basis.dim
-        assert prolongation_dim(lifted) == prolong(lifted).lifted.basis.dim
+        assert prolongation_dim(t) == lifted_basis(lifted).dim
+        assert prolongation_dim(lifted) == lifted_basis(prolong(lifted).lifted).dim
 
     @pytest.mark.parametrize("build, n, k", [
         (build_euclidean, 3, 2), (build_euclidean, 4, 2), (build_parabolic, 3, 2),
         (build_euclidean, 3, 3),
     ], ids=["e(3,2)", "e(4,2)", "p(3,2)", "e(3,3)"])
     def test_lifted_basis_at_levels_0_and_1(self, build, n, k):
-        """The V* (x) A kernel, built when the basis is first read, has the
-        dimension the root's equations give."""
+        """The reference V* (x) A kernel has the dimension the root's
+        equations give."""
         t = build(n, k).tableau()
         for _ in range(2):
             lifted = prolong(t).lifted
-            assert lifted.basis.dim == prolongation_dim(t)
+            assert lifted_basis(lifted).dim == prolongation_dim(t)
             t = lifted
 
     def test_level1_report_solves_no_lifted_kernel(self, count_calls):
         system = build_euclidean(3, 2)
         root = system.tableau()
         cartan_test(prolong(root).lifted, level1_ordering(system))  # warms the memos
-        calls = count_calls([(tableau, "_prolongation_rows"), (tableau, "int_kernel_rows")])
+        calls = count_calls([(tableau, "int_kernel_rows")])
         cartan_test(prolong(root).lifted, level1_ordering(system))
-        assert calls == {"_prolongation_rows": 0, "int_kernel_rows": 0}
+        assert calls == {"int_kernel_rows": 0}
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_levels_0_to_2_match_monogenic_slices(self, n):
@@ -666,7 +711,7 @@ class TestRootRoute:
         t = system.tableau()
         for q in range(3):
             p = prolong(t)
-            assert prolongation_dim(t) == system.monogenic_dim(q + 2) == p.lifted.basis.dim
+            assert prolongation_dim(t) == system.monogenic_dim(q + 2) == lifted_basis(p.lifted).dim
             t = p.lifted
 
     def test_e53_levels_1_and_2(self):
