@@ -6,7 +6,8 @@ tensor construction from 2x2 blocks: a Hermitian anticommuting family is built
 first and multiplied by i, which makes every generator square to minus the
 identity while keeping all entries in {0, +1, -1, +i, -i}. Each generator is
 therefore a signed permutation matrix, which the symbol assembly downstream
-relies on for sparsity.
+relies on for sparsity. The blocks and their Kronecker products are
+Gaussian-integer maps; only the returned matrices are ``ExactMatrix`` records.
 
 For even n the construction also yields the chirality operator whose +1/-1
 eigenspaces are the two half-spinor summands, each of dimension s/2. The
@@ -14,27 +15,21 @@ representation depends on n alone; the number k of slots belongs to the
 system built on it.
 """
 
-from .linalg import ExactMatrix, IMAG, ONE, InvariantViolation, _ints
+from functools import reduce
 
-_PAULI_X = ExactMatrix(2, 2, {(0, 1): 1, (1, 0): 1})
-_PAULI_Y = ExactMatrix(2, 2, {(0, 1): -IMAG, (1, 0): IMAG})
-_PAULI_Z = ExactMatrix(2, 2, {(0, 0): 1, (1, 1): -1})
-_ID2 = ExactMatrix.identity(2)
+from .linalg import ExactMatrix, GaussRational, ONE, InvariantViolation, _ints
 
-
-def _kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    entries = {}
-    for (ra, ca), va in a.entries.items():
-        for (rb, cb), vb in b.entries.items():
-            entries[(ra * b.rows + rb, ca * b.cols + cb)] = va * vb
-    return ExactMatrix(a.rows * b.rows, a.cols * b.cols, entries)
+# 2x2 blocks as Gaussian-integer maps (row, col) -> (re, im)
+_PAULI_X = {(0, 1): (1, 0), (1, 0): (1, 0)}
+_PAULI_Y = {(0, 1): (0, -1), (1, 0): (0, 1)}
+_PAULI_Z = {(0, 0): (1, 0), (1, 1): (-1, 0)}
+_ID2 = {(0, 0): (1, 0), (1, 1): (1, 0)}
 
 
-def _kron_chain(blocks) -> ExactMatrix:
-    out = blocks[0]
-    for blk in blocks[1:]:
-        out = _kron(out, blk)
-    return out
+def _kron(a: dict, b: dict) -> dict:
+    """The Kronecker product of a square Gaussian-integer map and a 2x2 one."""
+    return {(ra * 2 + rb, ca * 2 + cb): (xa * ya - xb * yb, xa * yb + xb * ya)
+            for (ra, ca), (xa, xb) in a.items() for (rb, cb), (ya, yb) in b.items()}
 
 
 def int_anticommutator(a, b) -> dict:
@@ -116,17 +111,20 @@ def build_spinor_rep(n: int) -> CliffordRep:
     """
     if n < 3:
         raise ValueError(f"n must be at least 3, got {n}")
-    m = n // 2
+    m, s = n // 2, 1 << (n // 2)
     hermitian = []
     for a in range(m):
         pre = [_PAULI_Z] * a
         post = [_ID2] * (m - a - 1)
-        hermitian.append(_kron_chain(pre + [_PAULI_X] + post))
-        hermitian.append(_kron_chain(pre + [_PAULI_Y] + post))
+        hermitian.append(reduce(_kron, pre + [_PAULI_X] + post))
+        hermitian.append(reduce(_kron, pre + [_PAULI_Y] + post))
     if n % 2 == 1:
-        hermitian.append(_kron_chain([_PAULI_Z] * m))
-    gamma = [g.scaled(IMAG) for g in hermitian[:n]]
-    chirality = _kron_chain([_PAULI_Z] * m) if n % 2 == 0 else None
+        hermitian.append(reduce(_kron, [_PAULI_Z] * m))
+    # times i: i (re + im i) = -im + re i
+    gamma = [ExactMatrix(s, s, {key: GaussRational(-im, re) for key, (re, im) in g.items()})
+             for g in hermitian[:n]]
+    chirality = None if n % 2 else ExactMatrix(
+        s, s, {key: GaussRational(*v) for key, v in reduce(_kron, [_PAULI_Z] * m).items()})
     rep = CliffordRep(n, gamma, chirality)
     rep.verify()
     return rep

@@ -184,17 +184,12 @@ def chart_ops(sys: EuclideanSystem):
     if sys._chart_ops is not None:
         return sys._chart_ops
     vars, table = _chart_data(sys.n)
-    one = {(0,) * (2 * sys.n): GaussRational(1)}
-    ops = []
-    for i in (1, 2):
-        # chart coefficients folded into the matrices, coefficient polys stay 1
-        terms = [
-            (one, tidx, sys.rep.gamma[a - 1].scaled(coeff))
-            for a in range(1, sys.n + 1)
-            for tidx, coeff in table[(a, i)]
-        ]
-        ops.append(DiffOp(vars, sys.s, terms))
-    sys._chart_ops = tuple(ops)
+    const = (0,) * (2 * sys.n)
+    # each chart coefficient is its term's constant coefficient polynomial
+    sys._chart_ops = tuple(
+        DiffOp(vars, sys.s, [({const: coeff}, tidx, sys.rep.gamma[a - 1])
+                             for a in range(1, sys.n + 1) for tidx, coeff in table[(a, i)]])
+        for i in (1, 2))
     return sys._chart_ops
 
 

@@ -37,8 +37,10 @@ produce bit-identical bases.
 four stay public because ``bench/tracing.py`` wraps them by name.
 :class:`ExactMatrix` is the record of a matrix acting on spinors (a Clifford
 generator, the chirality, the matrix of an operator term): its shape and its
-sparse entries, with no arithmetic. Products of spinor matrices are taken on
-Gaussian integers where they are checked (``CliffordRep.verify``), and flags
+sparse entries, with no arithmetic. Every product of spinor matrices or
+operator coefficients is taken on Gaussian integers: the Kronecker products
+of ``build_spinor_rep``, the relations of ``CliffordRep.verify``, the term
+tables of ``polynomials.DiffOp`` and the bracket check of ``parabolic``. Flags
 of V* are Gaussian-integer pair rows (``tableau.OrderedBasis``).
 """
 
@@ -172,11 +174,6 @@ class ExactMatrix:
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
         return cls(n, n, {(i, i): ONE for i in range(n)})
-
-    def scaled(self, factor) -> "ExactMatrix":
-        return ExactMatrix(
-            self.rows, self.cols, {k: v * factor for k, v in self.entries.items()}
-        )
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"

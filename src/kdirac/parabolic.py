@@ -11,8 +11,8 @@ no zeroth-order term) tensored with the identity on spinors, and so is
 d_{i j}. The bracket of two derivations is again a derivation, and a
 derivation is fixed by its values on the coordinates. So the check confirms
 that each field acts on every spinor slot by one scalar, then compares both
-sides on 1 and the coordinates x_{a i}, y_{r t} alone; that proves the
-identity on every polynomial spinor.
+sides on the coordinates x_{a i}, y_{r t} alone, in Gaussian integers read
+off the term tables; that proves the identity on every polynomial spinor.
 
 The symbol tableau and the weighted solution slices come from
 :class:`~kdirac.polynomials.SlotSystem`. The tableau lives in V* (x) Sp with
@@ -33,12 +33,14 @@ from .linalg import (
     GaussRational,
     InvariantViolation,
     _projected_ranks,
+    _rationals,
 )
 from .polynomials import (
     DiffOp,
     SlotSystem,
     SpinorPoly,
     _grade,
+    _lowered,
     _require_exponents,
     apply_op,
     scalar_multiply,
@@ -128,58 +130,65 @@ def check_bracket_identity(sys: ParabolicSystem) -> None:
 
     First each field must act on every spinor slot by one scalar: each entry
     of its term table maps slot mu to slot mu alone, with one coefficient for
-    all mu. A field is then a derivation tensored with the identity, and so
-    is d_{i j}. The bracket of two derivations is a derivation, and a
-    derivation is fixed by its values on the coordinates, so comparing both
-    sides on the probes 1, x_{a i} and y_{r t} in spinor slot 0 proves the
-    identity on all polynomials in every slot. Each field is applied to each
-    probe once and the images are reused for the second application.
-    Raises InvariantViolation naming the system, the two fields, the probe
-    and both images.
+    all mu. A field is then a derivation D = sum_v c_v d/dx_v tensored with
+    the identity, and so is d_{i j}. The bracket of two derivations is a
+    derivation, fixed by its values on the coordinates x_v: there it is
+    D_1(c_{2,v}) - D_2(c_{1,v}), to compare with g_{a b} d_{i j}(x_v). Both
+    are computed in Gaussian integers off the term tables, over their
+    denominators, with no spinor polynomial built. Raises InvariantViolation
+    naming the system, the two fields, the probe x_v and both values.
     """
-    n, k, s, vars = sys.n, sys.k, sys.s, sys.vars
-    fields = {(a, i): sys.lfield(a, i) for a in range(1, n + 1) for i in range(1, k + 1)}
-    for (a, i), op in fields.items():
-        for _var, _cexp, cols in op._table:
-            v = cols[0][0][1] if cols[0] else None
-            if any(col != [(mu, v)] for mu, col in enumerate(cols)):
+    n, k, nvars = sys.n, sys.k, len(sys.vars)
+
+    def derivation(op, name):  # its terms (var, cexp, c) and c_v by v, over op._den
+        terms, coeffs = [], [{} for _ in range(nvars)]
+        for var, cexp, cols in op._table:
+            c = cols[0][0][1] if cols[0] else None
+            if any(col != [(mu, c)] for mu, col in enumerate(cols)):
                 raise InvariantViolation(
-                    f"p({n},{k}): L_{a}{i} does not act on every spinor slot by one scalar")
+                    f"p({n},{k}): {name} does not act on every spinor slot by one scalar")
+            terms.append((var, cexp, c))
+            coeffs[var][cexp] = c
+        return terms, coeffs, op._den
 
-    def unit(key):
-        return SpinorPoly(vars, s, {key: 1})
+    def derive(terms, poly, scale, out):  # out += scale * D(poly)
+        for (var, cexp, (ca, cb)), (exps, (a, b)) in product(terms, poly.items()):
+            if e := exps[var] * scale:
+                key = _lowered(exps, var, cexp)
+                re, im = out.get(key, (0, 0))
+                out[key] = (re + e * (ca * a - cb * b), im + e * (ca * b + cb * a))
 
-    keys = [(vars.zero_exponents(), 0)]
-    keys += [(tuple(int(u == v) for u in range(len(vars))), 0) for v in range(len(vars))]
-    labels = ["1"] + list(vars.names)
-    images = {f: {key: apply_op(op, unit(key)) for key in keys} for f, op in fields.items()}
-
-    zero = SpinorPoly.zero(vars, s)
-    skew = {}
-    for i, j in product(range(1, k + 1), repeat=2):
-        if i != j:
-            d = sys.y_derivative(i, j)
-            skew[i, j] = [apply_op(d, unit(key)) for key in keys]
+    fields = {(a, i): derivation(sys.lfield(a, i), f"L_{a}{i}")
+              for a in range(1, n + 1) for i in range(1, k + 1)}
+    skew = {(i, j): derivation(sys.y_derivative(i, j), f"d_{i}{j}")
+            for i, j in product(range(1, k + 1), repeat=2) if i != j}
     order = list(fields)
     for idx, (a, i) in enumerate(order):
-        for b, j in order[idx:]:
-            for x, (key, label) in enumerate(zip(keys, labels)):
-                want = skew[i, j][x] if a == b and i != j else zero
-                got = (apply_op(fields[a, i], images[b, j][key])
-                       - apply_op(fields[b, j], images[a, i][key]))
-                if got != want:
+        for b, j in order[idx + 1:]:
+            (t1, c1, den1), (t2, c2, den2) = fields[a, i], fields[b, j]
+            _, cd, dden = skew[i, j] if a == b else ((), [{}] * nvars, 1)
+            for v in range(nvars):
+                if not (c1[v] or c2[v] or cd[v]):
+                    continue
+                got, want = {}, cd[v]
+                derive(t1, c2[v], dden, got)
+                derive(t2, c1[v], -dden, got)
+                got = {e: x for e, x in got.items() if x != (0, 0)}
+                if got != {e: (x * den1 * den2, y * den1 * den2) for e, (x, y) in want.items()}:
                     raise InvariantViolation(
                         f"p({n},{k}): bracket [L_{a}{i}, L_{b}{j}] = g_{a}{b} d_{i}{j}"
-                        f" fails on the probe {label}: got {_show(got)}, expected {_show(want)}")
+                        f" fails on the probe {sys.vars.names[v]}: got"
+                        f" {_show(sys.vars, got, den1 * den2 * dden)},"
+                        f" expected {_show(sys.vars, want, dden)}")
 
 
-def _show(poly: SpinorPoly) -> str:
-    """The terms of a spinor polynomial, as coefficient, monomial and slot."""
-    names = poly.vars.names
+def _show(vars, poly: dict, den: int) -> str:
+    """The terms of the polynomial poly / den in spinor slot 0, as
+    coefficient, monomial and slot."""
     terms = []
-    for (e, mu), v in sorted(poly.coeffs.items()):
-        mono = "*".join(names[c] + (f"^{p}" if p > 1 else "") for c, p in enumerate(e) if p)
-        terms.append(f"({v}) {mono or '1'} e{mu}")
+    for e, v in sorted(_rationals(poly, den).items()):
+        mono = "*".join(vars.names[c] + (f"^{p}" if p > 1 else "") for c, p in enumerate(e) if p)
+        terms.append(f"({v}) {mono or '1'} e0")
     return " + ".join(terms) or "0"
 
 
@@ -191,7 +200,7 @@ def _show(poly: SpinorPoly) -> str:
 def parabolic_level0_ordering(sys: ParabolicSystem) -> OrderedBasis:
     """Matrix covectors with alpha < n first, then the skew covectors, then
     the alpha = n column block."""
-    n, k = sys.n, sys.k
+    n, k, nvars = sys.n, sys.k, len(sys.vars)
     order = [sys.var_index(a, i) for a in range(1, n) for i in range(1, k + 1)]
     order += [sys.y_index(r, t) for r, t in sys.y_pairs]
     order += [sys.var_index(n, i) for i in range(1, k + 1)]

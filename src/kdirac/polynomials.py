@@ -37,6 +37,7 @@ are Gaussian-integer rows for the elimination core.
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache
+from math import gcd
 from types import MappingProxyType
 
 from .linalg import (
@@ -243,11 +244,14 @@ class DiffOp:
     """First-order operator sum of (coefficient poly) * d/d(var) * (matrix).
 
     Coefficient polynomials are sparse maps exponent-tuple -> scalar; each
-    matrix acts on the spinor index after differentiation and multiplication.
-    ``apply_op`` and the coefficient matrices of ``_constraint_rows`` both read
-    one term table: per (variable, coefficient monomial), the spinor columns
-    mu -> [(nu, coefficient times matrix entry)] as Gaussian-integer pairs,
-    all scaled by one denominator ``_den``.
+    matrix acts on the spinor index after differentiation and
+    multiplication. ``apply_op`` and the coefficient matrices of
+    ``_constraint_rows`` both read one term table: per (variable, coefficient
+    monomial), the spinor columns mu -> [(nu, coefficient times matrix
+    entry)] as Gaussian-integer pairs, all scaled by one denominator ``_den``.
+    It is built in integers: the coefficients and the matrix entries are
+    scaled once to Gaussian integers and multiplied, and the products and
+    their denominator are divided by their gcd, so ``_den`` is the least one.
     """
 
     __slots__ = ("vars", "spinor_dim", "_table", "_den")
@@ -255,22 +259,30 @@ class DiffOp:
     def __init__(self, vars: VariableSet, spinor_dim: int, terms: Sequence):
         self.vars = vars
         self.spinor_dim = spinor_dim
-        products = {}
         for coeff, var, matrix in terms:
             if not 0 <= var < len(vars):
                 raise ValueError("derivative variable out of range")
             if matrix.rows != spinor_dim or matrix.cols != spinor_dim:
                 raise ValueError("matrix size must match the spinor dimension")
-            for cexp, cval in coeff.items():
+            for cexp in coeff:
                 _require_exponents("coefficient", cexp, vars)
-                for (nu, mu), mval in matrix.entries.items():
+        coeffs, cden = _ints([{e: v if isinstance(v, GaussRational) else GaussRational(v)
+                               for e, v in coeff.items()} for coeff, _, _ in terms])
+        mats, mden = _ints([matrix.entries for _, _, matrix in terms])
+        products = {}
+        for (_, var, _), coeff, matrix in zip(terms, coeffs, mats):
+            for cexp, (ca, cb) in coeff.items():
+                for (nu, mu), (ma, mb) in matrix.items():
                     key = (var, tuple(cexp), mu, nu)
-                    products[key] = products.get(key, ZERO) + mval * cval
-        (products,), self._den = _ints([products])
+                    re, im = products.get(key, (0, 0))
+                    products[key] = (re + ma * ca - mb * cb, im + ma * cb + mb * ca)
+        g = gcd(cden * mden, *(x for v in products.values() for x in v))
+        self._den = cden * mden // g
         table = {}
-        for (var, cexp, mu, nu), v in sorted(products.items()):
-            cols = table.setdefault((var, cexp), [[] for _ in range(spinor_dim)])
-            cols[mu].append((nu, v))
+        for (var, cexp, mu, nu), (re, im) in sorted(products.items()):
+            if re or im:
+                cols = table.setdefault((var, cexp), [[] for _ in range(spinor_dim)])
+                cols[mu].append((nu, (re // g, im // g)))
         self._table = tuple((var, cexp, cols) for (var, cexp), cols in table.items())
 
     def weighted_shift(self) -> int:

@@ -1,6 +1,7 @@
 import pytest
 import sympy
 
+from conftest import oracle_spinor_rep
 from kdirac.clifford import CliffordRep, build_spinor_rep
 from kdirac.linalg import GaussRational, InvariantViolation
 
@@ -65,6 +66,18 @@ def test_parameter_bounds():
     k >= 2 (``test_parameter_bounds`` in the Euclidean and parabolic tests)."""
     with pytest.raises(ValueError, match="n must be at least 3"):
         build_spinor_rep(2)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_generators_are_the_pauli_kronecker_chain(n):
+    """Entries, their order and the shapes equal the GaussRational chain."""
+    rep, (gamma, chirality) = build_spinor_rep(n), oracle_spinor_rep(n)
+    for got, want in zip(rep.gamma + [rep.chirality], gamma + [chirality], strict=True):
+        if want is None:
+            assert got is None
+        else:
+            assert (got.rows, got.cols, list(got.entries.items())) == (
+                want.rows, want.cols, list(want.entries.items()))
 
 
 def test_construction_deterministic():

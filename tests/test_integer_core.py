@@ -1,14 +1,17 @@
 """The hot path runs on Gaussian-integer rows: GaussRational scalars are built
 only at the API edge, so none is built while prolonging, taking ranks of the
 solution slices, reading a filtration, re-checking a monogenic result or
-checking the Clifford relations."""
+checking the Clifford relations. Building the systems does no GaussRational
+arithmetic (``test_systems_build_without_gauss_arithmetic``), and the bracket
+check applies no operator to a spinor polynomial
+(``test_bracket_check_applies_no_operator``)."""
 
 import pytest
 
 from conftest import lifted_basis
-from kdirac import linalg, tableau
+from kdirac import linalg, parabolic, tableau
 from kdirac.clifford import build_spinor_rep
-from kdirac.euclidean import build_euclidean
+from kdirac.euclidean import build_euclidean, chart_ops
 from kdirac.parabolic import build_parabolic
 from kdirac.polynomials import apply_op, solution_dim, solution_space
 from kdirac.tableau import (
@@ -109,3 +112,30 @@ def test_clifford_relations(built, n):
     built.clear()
     rep.verify()
     assert built == []
+
+
+def refuse(name):
+    def raising(*args):
+        raise AssertionError(f"{name} called")
+    return raising
+
+
+def test_systems_build_without_gauss_arithmetic(monkeypatch):
+    """The term tables, the generators and the bracket check are built in
+    integers: every system and the k = 2 chart operators build with
+    GaussRational's arithmetic refused."""
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                 "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(linalg.GaussRational, name, refuse(f"GaussRational.{name}"))
+    for n, k in ((3, 2), (4, 2), (5, 2), (6, 2), (3, 3), (4, 3)):
+        build_euclidean(n, k)
+    for n, k in ((3, 2), (4, 2), (5, 2), (3, 3)):
+        build_parabolic(n, k)
+    assert len(chart_ops(build_euclidean(3, 2))) == 2
+
+
+def test_bracket_check_applies_no_operator(monkeypatch):
+    """``build_parabolic`` runs ``check_bracket_identity``."""
+    monkeypatch.setattr(parabolic, "apply_op", refuse("apply_op"))
+    for n, k in ((3, 2), (4, 2), (3, 3)):
+        build_parabolic(n, k)

@@ -111,6 +111,22 @@ class TestFields:
         with pytest.raises(InvariantViolation, match=r"p\(3,2\): .*L_11"):
             build_parabolic(3, 2)
 
+    def test_k3_skew_term_flipped_fails_the_bracket(self, monkeypatch):
+        """On p(3,3) the y_23 term of L_12 flipped: the first bracket to
+        fail is [L_12, L_13] on y_23, where its two halves cancel."""
+        original = ParabolicSystem._field_terms
+
+        def field_terms(self, alpha, i, matrix):
+            return [({e: -c for e, c in coeff.items()}, var, m)
+                    if (alpha, i) == (1, 2) and var == self.y_index(2, 3) else (coeff, var, m)
+                    for coeff, var, m in original(self, alpha, i, matrix)]
+
+        monkeypatch.setattr(ParabolicSystem, "_field_terms", field_terms)
+        with pytest.raises(InvariantViolation) as err:
+            build_parabolic(3, 3)
+        assert str(err.value) == ("p(3,3): bracket [L_12, L_13] = g_11 d_23 fails on the"
+                                  " probe y_2_3: got 0, expected (1) 1 e0")
+
     def test_slots_lower_weighted_degree(self, psys32):
         rng = random.Random(12)
         for wdeg in (2, 3, 4):

@@ -3,10 +3,20 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import oracle_term_table
 from kdirac import polynomials
 from kdirac.clifford import build_spinor_rep
-from kdirac.euclidean import EuclideanSystem, build_euclidean, chart_ops, chart_vars, cubic_dim_formula
+from kdirac.euclidean import (
+    EuclideanSystem,
+    _chart_data,
+    build_euclidean,
+    chart_ops,
+    chart_vars,
+    cubic_dim_formula,
+)
 from kdirac.linalg import ExactMatrix, GaussRational, InvariantViolation, RowFactor
 from kdirac.parabolic import build_parabolic, lift_check
 from kdirac.polynomials import (
@@ -496,3 +506,84 @@ class TestGradeTables:
         _monos, index = polynomials._grade(VariableSet.of("ab"), 1)
         with pytest.raises(TypeError):
             index[(9, 9)] = 0
+
+
+def _built_ops(name):
+    """(op, terms) for every operator system ``name`` builds: the slot
+    operators, and for p the fields L_{a i}, the skew derivatives d_{i j} and
+    the slot operators of the Euclidean twin, for e at k = 2 the chart
+    operators with each chart coefficient folded into its generator."""
+    n, k = int(name[2]), int(name[4])
+    sys = (build_euclidean if name[0] == "e" else build_parabolic)(n, k)
+    gamma, s = sys.rep.gamma, sys.s
+    ident = ExactMatrix.identity(s)
+    out = []
+    for system in [sys] + ([sys.euclidean()] if name[0] == "p" else []):
+        out += [(op, [t for a in range(1, n + 1) for t in system._field_terms(a, i, gamma[a - 1])])
+                for i, op in enumerate(system.ops, 1)]
+    if name[0] == "p":
+        out += [(sys.lfield(a, i), sys._field_terms(a, i, ident))
+                for a in range(1, n + 1) for i in range(1, k + 1)]
+        zero = sys.vars.zero_exponents()
+        out += [(sys.y_derivative(i, j),
+                 [({zero: GR(1 if i < j else -1)}, sys.y_index(min(i, j), max(i, j)), ident)])
+                for i in range(1, k + 1) for j in range(1, k + 1) if i != j]
+    elif k == 2:
+        table, one = _chart_data(n)[1], {(0,) * (2 * n): GR(1)}
+        scaled = lambda m, c: ExactMatrix(s, s, {key: v * c for key, v in m.entries.items()})
+        folded = [[(one, t, scaled(gamma[a - 1], c)) for a in range(1, n + 1)
+                   for t, c in table[(a, i)]] for i in (1, 2)]
+        out += list(zip(chart_ops(sys), folded))
+    return out
+
+
+def _gauss():
+    part = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 4, 6]))
+    return st.builds(GR, part, part)
+
+
+@st.composite
+def _term_lists(draw):
+    """(s, terms) on three variables: up to four terms whose coefficient
+    polynomials and s x s matrices have small Gaussian-rational entries."""
+    s = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 2)] * 3)
+    entry = st.tuples(st.integers(0, s - 1), st.integers(0, s - 1))
+    terms = draw(st.lists(st.tuples(
+        st.dictionaries(exps, _gauss(), max_size=3), st.integers(0, 2),
+        st.dictionaries(entry, _gauss(), max_size=4).map(lambda e: ExactMatrix(s, s, e))),
+        max_size=4))
+    return s, terms
+
+
+class TestTermTableOracle:
+    """The integer term tables equal the GaussRational products of
+    ``oracle_term_table``, table and denominator alike."""
+
+    @pytest.mark.parametrize("name", ["e(3,2)", "e(4,2)", "e(5,2)", "e(6,2)", "e(3,3)",
+                                      "e(4,3)", "p(3,2)", "p(4,2)", "p(5,2)", "p(3,3)"])
+    def test_every_operator_of_the_systems(self, name):
+        for op, terms in _built_ops(name):
+            assert (op._table, op._den) == oracle_term_table(op.spinor_dim, terms)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_term_lists())
+    def test_random_terms(self, case):
+        s, terms = case
+        op = DiffOp(VariableSet.of("xyz"), s, terms)
+        assert (op._table, op._den) == oracle_term_table(s, terms)
+
+    def test_int_and_fraction_coefficients(self):
+        vs, one = VariableSet.of("xy"), ExactMatrix.identity(1)
+        plain = DiffOp(vs, 1, [({(0, 1): 3}, 0, one), ({(1, 0): Fraction(1, 2)}, 1, one)])
+        exact = DiffOp(vs, 1, [({(0, 1): GR(3)}, 0, one), ({(1, 0): GR("1/2")}, 1, one)])
+        assert (plain._table, plain._den) == (exact._table, exact._den)
+
+    def test_cancelled_and_reduced_products(self):
+        vs, one = VariableSet.of("xy"), ExactMatrix.identity(1)
+        half = ExactMatrix(1, 1, {(0, 0): GR(Fraction(1, 2))})
+        cancelled = DiffOp(vs, 1, [({(0, 0): GR(1)}, 0, one), ({(0, 0): GR(-1)}, 0, one)])
+        assert (cancelled._table, cancelled._den) == ((), 1)
+        reduced = DiffOp(vs, 1, [({(0, 1): GR(2)}, 0, half), ({(0, 0): GR(0, 4)}, 1, half)])
+        assert (reduced._table, reduced._den) == (
+            ((0, (0, 1), [[(0, (1, 0))]]), (1, (0, 0), [[(0, (0, 2))]])), 1)
